@@ -143,24 +143,27 @@ class MonomialIdeal:
     def column_heights(self) -> list[int]:
         """Height of each staircase column a = 0..a0-1: min{b : (a, b) in the ideal}.
 
-        One sweep over the sorted generators, O(a0 + #generators).
+        The output has a0 entries, so this costs O(a0); it exists for
+        ferrers() only.  Use colength() for the box count.
         """
         self._require_finite()
         gens = self.generators
-        heights = []
-        next_gen = 0
-        current = None
-        for a in range(self.x_power):
-            while next_gen < len(gens) and gens[next_gen][0] <= a:
-                b = gens[next_gen][1]
-                current = b if current is None else min(current, b)
-                next_gen += 1
-            heights.append(current)
+        heights: list[int] = []
+        for (a, b), (a_next, _) in zip(gens, gens[1:]):
+            heights.extend([b] * (a_next - a))
         return heights
 
     def colength(self) -> int:
-        """dim_C of the quotient ring = number of boxes under the staircase."""
-        return sum(self.column_heights())
+        """dim_C of the quotient ring = number of boxes under the staircase.
+
+        With the generators sorted as (a_0, b_0), ..., (a_n, b_n), a_0 = 0 and
+        b_n = 0, the columns a_k..a_{k+1}-1 all have height b_k, so the count
+        is the sum of the rectangles (a_{k+1} - a_k) * b_k: O(#generators),
+        whatever the size of the exponents.
+        """
+        self._require_finite()
+        gens = self.generators
+        return sum((a_next - a) * b for (a, b), (a_next, _) in zip(gens, gens[1:]))
 
     def ferrers(self) -> "FerrersDiagram":
         return FerrersDiagram(tuple(self.column_heights()))

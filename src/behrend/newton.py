@@ -4,7 +4,12 @@ The Newton polygon of I is Q_I = conv(generators) + first quadrant.  Its
 lattice points give the integral closure; I is normal exactly when its
 staircase already equals those lattice points.  Everything here is exact
 integer arithmetic (cross products for the hull, ceiling divisions for the
-supporting lines).
+supporting lines, Pick's theorem for lattice counts).
+
+Only the polygon's vertices enter the computations, never a scan over the
+columns of the staircase: the closure's colength and normality cost
+O(#generators), the closure itself O(#output generators).  The definitional
+oracle is the one exception, and it is a test oracle.
 """
 
 from __future__ import annotations
@@ -95,24 +100,28 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
 def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     """Integral closure of the i-th power: minimal lattice points of i * Q_I.
 
-    Works column by column: the least admissible b over column a is the max of
-    exact ceilings of the supporting-line values, so no rational hull is built.
+    Each scaled edge is walked along the shorter of its width and height.
+    Over a steep edge every column carries a generator, the least b above
+    the supporting line; over a flat edge every row carries one, the least
+    a to the right of it.  Both are exact ceilings, so the cost is
+    O(#output generators + #edges) and no rational hull is built.
     """
     if i < 0:
         raise DomainError("negative powers are undefined")
     if i == 0:
         return UNIT_IDEAL
     polygon = newton_polygon(ideal)
-    width = i * polygon.vertices[0][0]
-    gens = []
-    for a in range(width + 1):
-        b = 0
-        for edge in polygon.edges:
-            beta, alpha = edge.inward_ray
-            deficit = i * edge.support_value - beta * a
-            if deficit > 0:
-                b = max(b, -(-deficit // alpha))
-        gens.append((a, b))
+    gens = [(i * a, i * b) for a, b in polygon.vertices]
+    for edge in polygon.edges:
+        beta, alpha = edge.inward_ray
+        value = i * edge.support_value
+        (a_start, b_start), (a_end, b_end) = edge.start, edge.end
+        if (a_start - a_end) <= (b_end - b_start):
+            for a in range(i * a_end + 1, i * a_start):
+                gens.append((a, -((beta * a - value) // alpha)))
+        else:
+            for b in range(i * b_start + 1, i * b_end):
+                gens.append((-((alpha * b - value) // beta), b))
     return MonomialIdeal(gens)
 
 
@@ -121,9 +130,34 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     return closure_power(ideal, 1)
 
 
+def closure_colength(ideal: MonomialIdeal) -> int:
+    """Colength of the integral closure, from the polygon boundary alone.
+
+    The closure's complement is the set of first-quadrant lattice points
+    strictly below the boundary of Q_I.  Pick's theorem counts them as
+    (2 * Area + a0 + b0 - sum of the edges' lattice lengths) / 2, which
+    specializes to (ab + a + b - gcd(a, b)) / 2 for a single edge
+    (a,0)-(0,b).  Valid for every finite-colength ideal; O(#generators).
+    """
+    polygon = newton_polygon(ideal)
+    a0 = polygon.vertices[0][0]
+    b0 = polygon.vertices[-1][1]
+    total = a0 + b0
+    for edge in polygon.edges:
+        (xs, ys), (xe, ye) = edge.start, edge.end
+        total += xs * ye - ys * xe - edge.lattice_length
+    if total % 2:
+        raise AssertionError("lattice point parity violated")  # cannot happen
+    return total // 2
+
+
 def is_normal(ideal: MonomialIdeal) -> bool:
-    """True iff the staircase equals the polygon's lattice points."""
-    return integral_closure(ideal) == ideal
+    """True iff the staircase equals the polygon's lattice points.
+
+    The closure contains the ideal, so the two are equal exactly when their
+    colengths are: a comparison of two O(#generators) counts.
+    """
+    return ideal.colength() == closure_colength(ideal)
 
 
 def default_oracle_p_max(ideal: MonomialIdeal) -> int:
@@ -167,23 +201,14 @@ def definitional_member(powers, a: int, b: int) -> bool:
 def pick_length(ideal: MonomialIdeal) -> int:
     """Colength of a normal ideal from the polygon boundary alone.
 
-    Lattice-point count below the boundary via Pick's theorem, specializing
-    to (ab + a + b - gcd(a, b)) / 2 for a single edge (a,0)-(0,b).  Only valid
-    when the staircase fills the polygon, hence the normality requirement.
+    The Pick count of closure_colength, which equals the colength only when
+    the staircase fills the polygon, hence the normality requirement.
     """
     ideal.require_fat_point()
-    if not is_normal(ideal):
+    count = closure_colength(ideal)
+    if ideal.colength() != count:
         raise DomainError("not a normal ideal: use colength() instead")
-    polygon = newton_polygon(ideal)
-    a0 = polygon.vertices[0][0]
-    b0 = polygon.vertices[-1][1]
-    total = a0 + b0
-    for edge in polygon.edges:
-        (xs, ys), (xe, ye) = edge.start, edge.end
-        total += xs * ye - ys * xe - edge.lattice_length
-    if total % 2:
-        raise AssertionError("lattice point parity violated")  # cannot happen
-    return total // 2
+    return count
 
 
 def staircase_conditions(ideal: MonomialIdeal) -> bool:

@@ -15,14 +15,14 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .expr import ideal_text, product_text
 from .ideals import MonomialIdeal, complete_intersection
 from .newton import (
+    closure_colength,
     definitional_member,
     integral_closure,
     is_normal,
-    pick_length,
     staircase_conditions,
 )
 from .normal_factor import n_ab
@@ -72,6 +72,10 @@ class Bounds:
     nab_max: int = 12
     balanced_pair_max: int = 10
     random_box: int = 8
+
+    def __post_init__(self):
+        if self.closure_p_max < 1:
+            raise DomainError("p_max must be positive")
 
 
 PRESETS = {
@@ -144,7 +148,11 @@ def random_tangent_tower_product(rng: random.Random, exp_max: int) -> TowerProdu
 
 
 def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """Closed-form lengths against brute-force staircase counts."""
+    """Closed-form lengths against brute-force staircase counts.
+
+    length/pick counts the closure two ways: the staircase rectangles of the
+    edge-walked closure, and Pick's lattice count of the polygon.
+    """
     results = []
     for s in range(1, bounds.complete_tower_max + 1):
         tower = make_tower("x", (), range(1, s + 1))
@@ -183,7 +191,7 @@ def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
                 "length/pick",
                 ideal_text(ideal),
                 ideal.colength(),
-                pick_length(ideal),
+                closure_colength(ideal),
             )
         )
     return results
@@ -289,8 +297,12 @@ def check_closure(rng: random.Random, bounds: Bounds, p_max: int | None = None) 
 
     A definitional member missing from the polygon closure would be a real
     failure; a polygon member not certified by p <= p_max is inconclusive.
+    closure/normal-routes compares the Pick-count normality test with the
+    closure built and compared generator by generator.
     """
     p_max = bounds.closure_p_max if p_max is None else p_max
+    if p_max < 1:
+        raise DomainError("p_max must be positive")
     results = []
     seeds = [
         complete_intersection(2, 2),
@@ -321,7 +333,16 @@ def check_closure(rng: random.Random, bounds: Bounds, p_max: int | None = None) 
         )
     for _ in range(bounds.normal_ideals):
         ideal = random_ideal(rng, bounds.staircase_box)
-        if is_normal(ideal):
+        normal = is_normal(ideal)
+        results.append(
+            CheckResult.compare(
+                "closure/normal-routes",
+                ideal_text(ideal),
+                integral_closure(ideal) == ideal,
+                normal,
+            )
+        )
+        if normal:
             results.append(
                 CheckResult.compare(
                     "closure/normal-staircase-conditions",

@@ -118,6 +118,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "length", "(x^2, y^2) * tower(x; g=y; exps=[2])")
         assert code == 3
 
+    @pytest.mark.parametrize("p_max", ["0", "-3"])
+    def test_verify_rejects_nonpositive_p_max(self, capsys, p_max):
+        code, out, err = run(capsys, "verify", "--bounds", "quick", "--p-max", p_max)
+        assert code == 2 and out == ""
+        assert err.strip() == "domain error: p_max must be positive"
+
     def test_unsupported_length_route(self, capsys):
         code, _, err = run(
             capsys,

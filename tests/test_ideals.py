@@ -120,6 +120,10 @@ class TestColength:
         with pytest.raises(DomainError):
             MonomialIdeal([(1, 0), (1, 2)]).colength()
 
+    @given(finite_ideals(box=30))
+    def test_rectangles_match_column_heights(self, I):
+        assert I.colength() == sum(I.column_heights())
+
 
 class TestFerrers:
     def test_examples(self):

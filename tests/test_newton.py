@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from behrend import (
     pick_length,
     staircase_conditions,
 )
+from behrend.newton import closure_colength
 
 
 def ideal(*gens):
@@ -78,6 +80,24 @@ class TestPolygon:
         assert newton_polygon(MonomialIdeal(sums)).vertices == direct
 
 
+def column_closure_power(I, i):
+    """Reference closure of I^i: in every column 0..i*a0, the least b on or
+    above all scaled supporting lines.  O(width * edges)."""
+    if i == 0:
+        return MonomialIdeal([(0, 0)])
+    polygon = newton_polygon(I)
+    gens = []
+    for a in range(i * polygon.vertices[0][0] + 1):
+        b = 0
+        for edge in polygon.edges:
+            beta, alpha = edge.inward_ray
+            deficit = i * edge.support_value - beta * a
+            if deficit > 0:
+                b = max(b, -(-deficit // alpha))
+        gens.append((a, b))
+    return MonomialIdeal(gens)
+
+
 class TestClosure:
     def test_square_closes_to_maximal_square(self):
         assert integral_closure(complete_intersection(2, 2)) == MAXIMAL_IDEAL**2
@@ -104,6 +124,10 @@ class TestClosure:
         closure = integral_closure(I)
         assert integral_closure(closure) == closure
         assert is_normal(closure)
+
+    @given(finite_ideals(box=40), st.integers(0, 4))
+    def test_edge_walk_matches_column_reference(self, I, i):
+        assert closure_power(I, i) == column_closure_power(I, i)
 
     @given(finite_ideals(box=5), finite_ideals(box=5))
     @settings(max_examples=40)
@@ -157,6 +181,10 @@ class TestNormality:
         closure = integral_closure(I)
         assert staircase_conditions(closure)
 
+    @given(finite_ideals(box=12))
+    def test_pick_test_matches_closure_comparison(self, I):
+        assert is_normal(I) == (integral_closure(I) == I)
+
     def test_staircase_conditions_can_fail(self):
         # (x^2, y^2) misses the unit-step requirement near the axes
         assert not staircase_conditions(complete_intersection(2, 2))
@@ -182,6 +210,20 @@ class TestPickLength:
     def test_matches_colength_on_normal(self, I):
         closure = integral_closure(I)
         assert pick_length(closure) == closure.colength()
+
+
+class TestClosureColength:
+    def test_single_edge_formula(self):
+        for a, b in [(2, 3), (4, 6), (5, 5), (1, 7)]:
+            expected = (a * b + a + b - gcd(a, b)) // 2
+            assert closure_colength(complete_intersection(a, b)) == expected
+
+    def test_unit_ideal(self):
+        assert closure_colength(MonomialIdeal([(0, 0)])) == 0
+
+    @given(finite_ideals(box=20))
+    def test_counts_the_closure(self, I):
+        assert closure_colength(I) == integral_closure(I).colength()
 
 
 class TestEdgeInvariants:

@@ -1,7 +1,11 @@
 import random
 
+import pytest
+
+from behrend import DomainError
 from behrend.verify import (
     PRESETS,
+    check_length_forms,
     check_closure,
     check_pair_agreement,
     random_ideal,
@@ -63,3 +67,29 @@ def test_closure_seeds_never_fail():
     rng = random.Random(5)
     results = check_closure(rng, PRESETS["quick"])
     assert all(r.status != "fail" for r in results)
+
+
+@pytest.mark.parametrize("p_max", [0, -1])
+def test_closure_check_rejects_nonpositive_p_max(p_max):
+    with pytest.raises(DomainError, match="p_max must be positive"):
+        check_closure(random.Random(0), PRESETS["quick"], p_max)
+
+
+def test_normal_routes_cover_the_staircase_draws():
+    results = check_closure(random.Random(3), PRESETS["quick"])
+    routes = [r for r in results if r.name == "closure/normal-routes"]
+    assert len(routes) == PRESETS["quick"].normal_ideals
+    assert all(r.status == "pass" for r in routes)
+    assert any(r.actual for r in routes) and not all(r.actual for r in routes)
+
+
+def test_pick_disagreement_is_reported_as_failure(monkeypatch):
+    import behrend.verify
+
+    monkeypatch.setattr(
+        behrend.verify, "closure_colength", lambda ideal: ideal.colength() + 1
+    )
+    results = check_length_forms(random.Random(4), PRESETS["quick"])
+    pick = [r for r in results if r.name == "length/pick"]
+    assert len(pick) == PRESETS["quick"].normal_ideals
+    assert all(r.status == "fail" for r in pick)
