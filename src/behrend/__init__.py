@@ -41,8 +41,6 @@ from .normal_factor import (
 from .nu import (
     BehrendReport,
     ComponentRecord,
-    edge_degree,
-    edge_multiplicity,
     nu_lci,
     nu_monomial,
     nu_power_rule,
@@ -56,11 +54,9 @@ from .towers import (
     TowerProduct,
     build_dynkin,
     contribution,
-    equivalence_classes,
     make_tower,
     noncomplete_product_nu,
     product_nu,
-    tower_ideal,
     tower_length,
     tower_nu,
     tower_times_m_power,
@@ -101,8 +97,6 @@ __all__ = [
     "component_count",
     "BehrendReport",
     "ComponentRecord",
-    "edge_multiplicity",
-    "edge_degree",
     "nu_monomial",
     "nu_power_rule",
     "nu_lci",
@@ -113,12 +107,10 @@ __all__ = [
     "DynkinDiagram",
     "DynkinNode",
     "make_tower",
-    "tower_ideal",
     "tower_length",
     "tower_nu",
     "two_tower_nu",
     "two_tower_length",
-    "equivalence_classes",
     "build_dynkin",
     "contribution",
     "product_nu",

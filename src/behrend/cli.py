@@ -22,13 +22,7 @@ from .ideals import MonomialIdeal
 from .newton import integral_closure, is_normal
 from .normal_factor import Fan, factor_normal, fan_of
 from .nu import BehrendReport, nu_monomial
-from .towers import (
-    TowerNuSummary,
-    TowerProduct,
-    noncomplete_product_nu,
-    tower_length,
-    two_tower_length,
-)
+from .towers import TowerNuSummary, TowerProduct, noncomplete_product_nu, product_length
 from .verify import PRESETS, run_all, summarize
 
 SCHEMA_VERSION = 1
@@ -94,19 +88,6 @@ def dynkin_json(summary: TowerNuSummary, product: TowerProduct) -> dict:
     }
 
 
-def _towers_length(product: TowerProduct):
-    if product.all_monomial:
-        return product.expand().colength()
-    if len(product.towers) == 1:
-        return tower_length(product.towers[0])
-    if len(product.towers) == 2 and product.all_complete:
-        return two_tower_length(*product.towers)
-    raise UnsupportedError(
-        "no exact length route for this product; only monomial products, "
-        "single towers and cross-branch complete pairs have one"
-    )
-
-
 def _report_text(report: BehrendReport) -> str:
     lines = [
         f"nu = {report.nu}",
@@ -149,7 +130,7 @@ def _run_command(args) -> int:
         if elaborated.ideal is not None:
             value = elaborated.ideal.require_fat_point().colength()
         else:
-            value = _towers_length(elaborated.require_towers())
+            value = product_length(elaborated.require_towers())
         print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
         return 0
 

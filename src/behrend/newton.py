@@ -55,12 +55,6 @@ class NewtonPolygon:
     vertices: tuple[Exponent, ...]
     edges: tuple[Edge, ...]
 
-    def edge_with_ray(self, ray: tuple[int, int]) -> Edge:
-        for edge in self.edges:
-            if edge.inward_ray == tuple(ray):
-                return edge
-        raise DomainError(f"no edge with inward ray {ray!r}")
-
 
 def _cross(o: Exponent, p: Exponent, q: Exponent) -> int:
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
@@ -187,15 +181,10 @@ def integral_closure_oracle(ideal: MonomialIdeal, p_max: int | None = None) -> M
     accepted = []
     for a in range(ideal.x_power + 1):
         for b in range(ideal.y_power + 1):
-            if definitional_member(powers, a, b):
+            if any((p * a, p * b) in powers[p] for p in range(1, p_max + 1)):
                 accepted.append((a, b))
                 break  # larger b in this column is divisible anyway
     return MonomialIdeal(accepted)
-
-
-def definitional_member(powers, a: int, b: int) -> bool:
-    """(x^a y^b)^p in I^p for some p up to len(powers) - 1."""
-    return any((p * a, p * b) in powers[p] for p in range(1, len(powers)))
 
 
 def pick_length(ideal: MonomialIdeal) -> int:

@@ -67,19 +67,6 @@ def dynkin_dot(diagram: DynkinDiagram, product: TowerProduct) -> str:
     return "\n".join(lines)
 
 
-def dynkin_text(diagram: DynkinDiagram, product: TowerProduct) -> str:
-    lines = []
-    for node in diagram.nodes:
-        flag = "kept" if node.surviving else "contracted"
-        label = _node_label(diagram, product, node.index).split("\\n")[0]
-        lines.append(
-            f"level {node.level}: {label}  self-int {node.self_intersection}  "
-            f"mult {node.multiplicity}  [{flag}]"
-        )
-    lines.append("edges: " + ", ".join(f"n{a}-n{b}" for a, b in diagram.edges))
-    return "\n".join(lines)
-
-
 # -- SVG ------------------------------------------------------------------------
 
 _SVG_HEAD = '<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">'

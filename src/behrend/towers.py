@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import DomainError, UnsupportedError
-from .ideals import MAXIMAL_IDEAL, MonomialIdeal
+from .ideals import MonomialIdeal
 
 BRANCHES = ("x", "y")
 
@@ -117,10 +117,6 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
     return Tower(branch=branch, tangent=coeffs, exponents=exps)
 
 
-def tower_ideal(tower: Tower) -> MonomialIdeal:
-    return tower.ideal()
-
-
 def tower_length(tower: Tower) -> int:
     """Colength: sum over k of i_1 + ... + i_k."""
     partial = list(accumulate(tower.exponents))
@@ -128,14 +124,14 @@ def tower_length(tower: Tower) -> int:
 
 
 def tower_nu(tower: Tower) -> int:
-    """Behrend number: length + sum_{j<s} i_j (s - j) = sum_{k,l} min(i_k, i_l)."""
+    """Behrend number: length + sum_{j<s} i_j (s - j).
+
+    This equals sum_{k,l} min(i_k, i_l); verify's nu/tower-min-sum checks
+    the identity.
+    """
     exps = tower.exponents
     s = len(exps)
-    value = tower_length(tower) + sum(exps[j] * (s - 1 - j) for j in range(s - 1))
-    min_sum = sum(min(a, b) for a in exps for b in exps)
-    if value != min_sum:
-        raise AssertionError("tower nu identity violated")  # pure arithmetic, cannot fail
-    return value
+    return tower_length(tower) + sum(exps[j] * (s - 1 - j) for j in range(s - 1))
 
 
 def difference_order(t1: Tower, t2: Tower):
@@ -217,10 +213,6 @@ class Factor:
     exponent: int
 
 
-def _tower_key(branch: str, tangent) -> tuple:
-    return (branch, tangent)
-
-
 class TowerProduct:
     """A finite product of pairwise tangent-distinct towers, canonically sorted."""
 
@@ -230,7 +222,7 @@ class TowerProduct:
         towers = tuple(sorted(towers, key=lambda t: (t.branch, t.tangent, t.exponents)))
         if not towers:
             raise DomainError("a tower product needs at least one tower")
-        keys = [_tower_key(t.branch, t.tangent) for t in towers]
+        keys = [(t.branch, t.tangent) for t in towers]
         if len(set(keys)) != len(keys):
             raise DomainError(
                 "towers sharing branch and tangent must be merged or rejected; "
@@ -259,12 +251,6 @@ class TowerProduct:
         return f"TowerProduct({list(self.towers)!r})"
 
     @classmethod
-    def from_towers(cls, towers) -> "TowerProduct":
-        return cls.from_factors(
-            Factor(t.branch, t.tangent, k) for t in towers for k in t.exponents
-        )
-
-    @classmethod
     def from_factors(cls, factors) -> "TowerProduct":
         """Group raw factors into towers.
 
@@ -281,7 +267,7 @@ class TowerProduct:
                 continue
             if f.branch is None:
                 raise DomainError("a bare maximal-ideal factor must have exponent 1")
-            key = _tower_key(f.branch, _as_coefficients(f.tangent))
+            key = (f.branch, _as_coefficients(f.tangent))
             exps = groups.setdefault(key, [])
             if f.exponent in exps:
                 raise UnsupportedError(
@@ -334,8 +320,8 @@ def _partition_at(towers, r: int):
 
     Towers of height below r pool into the excess class; the rest partition
     by branch and tangent modulo degree < r.  At r = 1 everything is one
-    class.  This partition is transitive by construction and agrees with the
-    pairwise three-case relation, which equivalence_classes double-checks.
+    class.  This partition is transitive by construction; the tests check
+    that it agrees with the pairwise three-case relation.
     """
     live = [i for i, t in enumerate(towers) if t.height >= r]
     excess = tuple(i for i, t in enumerate(towers) if t.height < r)
@@ -346,47 +332,6 @@ def _partition_at(towers, r: int):
         key = (towers[i].branch, towers[i].tangent_prefix(r))
         grouped.setdefault(key, []).append(i)
     classes = [tuple(grouped[key]) for key in sorted(grouped)]
-    return classes, excess
-
-
-def _pairwise_related(t1: Tower, t2: Tower, r: int) -> bool:
-    if r == 1 or r > max(t1.height, t2.height):
-        return True
-    if 1 < r <= min(t1.height, t2.height):
-        return t1.branch == t2.branch and t1.tangent_prefix(r) == t2.tangent_prefix(r)
-    return False
-
-
-def equivalence_classes(product: TowerProduct, r: int):
-    """Tangent-agreement classes of complete towers at level r.
-
-    Returns (classes, excess) as tuples of tower indices; the excess pool is
-    the excluded class of towers shorter than r.  Raises if the pairwise
-    relation ever disagrees with the computed partition (it cannot, but the
-    relation's transitivity is asserted rather than assumed).
-    """
-    towers = product.towers
-    for t in towers:
-        _require_complete(t, "the class computation")
-    if not 1 <= r <= max(t.height for t in towers):
-        raise DomainError("level out of range")
-    classes, excess = _partition_at(towers, r)
-    lookup = {}
-    for c, members in enumerate(classes):
-        for i in members:
-            lookup[i] = c
-    for i in range(len(towers)):
-        for j in range(i + 1, len(towers)):
-            related = _pairwise_related(towers[i], towers[j], r)
-            same = (
-                lookup.get(i) == lookup.get(j)
-                if i in lookup and j in lookup
-                else i in excess and j in excess
-            )
-            if related != same:
-                raise AssertionError(
-                    f"tangent-agreement relation is not transitive at level {r}"
-                )
     return classes, excess
 
 
@@ -465,32 +410,23 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
         degree[a] += 1
         degree[b] += 1
 
-    factor_nodes: list[tuple[int, int, int]] = []  # (tower, exponent, node)
     attached: list[list[tuple[int, int]]] = [[] for _ in nodes_members]
     for i, t in enumerate(towers):
         for k in t.exponents:
-            node = node_at[k][i]
-            factor_nodes.append((i, k, node))
-            attached[node].append((i, k))
+            attached[node_at[k][i]].append((i, k))
 
-    # multiplicity: ancestor-chain meets against every original factor
-    ancestors: list[list[int]] = []
-    for index in range(len(nodes_members)):
-        chain = [index]
-        while parents[chain[-1]] != -1:
-            chain.append(parents[chain[-1]])
-        ancestors.append(chain)
-
-    def meet_level(i: int, j: int) -> int:
-        seen = set(ancestors[i])
-        for node in ancestors[j]:
-            if node in seen:
-                return nodes_members[node][0]
-        raise AssertionError("disconnected diagram")  # tree by construction
+    # A factor contributes the level of its meet with c, which is the number
+    # of ancestors of c whose subtree holds the factor's node; parents
+    # precede their children in the node order.
+    below = [len(factors) for factors in attached]
+    for index in range(len(nodes_members) - 1, 0, -1):
+        below[parents[index]] += below[index]
+    multiplicity = below[:]
+    for index in range(1, len(nodes_members)):
+        multiplicity[index] += multiplicity[parents[index]]
 
     nodes = []
     for index, (level, members) in enumerate(nodes_members):
-        multiplicity = sum(meet_level(index, node) for _, _, node in factor_nodes)
         surviving = any(level in towers[i].exponents for i in members)
         self_int = -degree[index] - (1 if level == 1 else 0)
         nodes.append(
@@ -500,7 +436,7 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
                 members=members,
                 factors=tuple(attached[index]),
                 self_intersection=self_int,
-                multiplicity=multiplicity,
+                multiplicity=multiplicity[index],
                 surviving=surviving,
             )
         )
@@ -565,43 +501,42 @@ class TowerNuSummary:
     diagram: DynkinDiagram
 
 
-def _summary_length(product: TowerProduct):
+def product_length(product: TowerProduct) -> int:
+    """Length of a tower product by its one exact route: the staircase count
+    of a monomial expansion, the single-tower form, or the two-tower form of
+    a complete pair.  Raises UnsupportedError when none applies."""
+    towers = product.towers
     if product.all_monomial:
         return product.expand().colength()
-    towers = product.towers
     if len(towers) == 1:
         return tower_length(towers[0])
     if len(towers) == 2 and product.all_complete:
-        try:
-            return two_tower_length(*towers)
-        except UnsupportedError:
-            return None
-    return None
+        return two_tower_length(*towers)
+    raise UnsupportedError(
+        "no exact length route for this product; only monomial products, "
+        "single towers and cross-branch complete pairs have one"
+    )
 
 
 def noncomplete_product_nu(product: TowerProduct) -> TowerNuSummary:
     """Behrend number of an arbitrary finite product of towers."""
     diagram = build_dynkin(product)
-    return TowerNuSummary(nu=diagram.nu(), length=_summary_length(product), diagram=diagram)
+    try:
+        length = product_length(product)
+    except UnsupportedError:
+        length = None
+    return TowerNuSummary(nu=diagram.nu(), length=length, diagram=diagram)
 
 
 def product_nu(product: TowerProduct) -> TowerNuSummary:
-    """Behrend number of a product of complete towers, cross-checked against
-    the closed forms for single towers and pairs."""
+    """Behrend number of a product of complete towers.
+
+    verify compares it with the single-tower and two-tower closed forms
+    (nu/diagram-consistency, nu/pair-agreement).
+    """
     for t in product.towers:
         _require_complete(t, "product_nu")
-    summary = noncomplete_product_nu(product)
-    towers = product.towers
-    if len(towers) == 1 and summary.nu != tower_nu(towers[0]):
-        raise AssertionError("diagram engine disagrees with the single-tower closed form")
-    if len(towers) == 2:
-        try:
-            expected = two_tower_nu(*towers)
-        except UnsupportedError:
-            expected = None
-        if expected is not None and summary.nu != expected:
-            raise AssertionError("diagram engine disagrees with the two-tower closed form")
-    return summary
+    return noncomplete_product_nu(product)
 
 
 def tower_times_m_power(tower: Tower, n: int) -> tuple[int, int]:
@@ -610,12 +545,10 @@ def tower_times_m_power(tower: Tower, n: int) -> tuple[int, int]:
         length(K m^n) = length(K) + (n(n+1) + 2 n s) / 2
         nu(K m^n)     = nu(K) + s n + n + s
 
-    Both values are cross-checked against the staircase count and the edge
-    formula on the expanded monomial ideal; n = 0 degenerates to (length, nu)
-    of the tower itself.
+    n = 0 degenerates to (length, nu) of the tower itself.  verify's
+    length/m-power and nu/m-power compare both values with the staircase
+    count and the edge formula on the expanded monomial ideal.
     """
-    from .nu import nu_monomial
-
     if not tower.is_monomial:
         raise UnsupportedError("the m-power closed form needs a monomial tower")
     if tower.exponents[0] == 1:
@@ -625,9 +558,4 @@ def tower_times_m_power(tower: Tower, n: int) -> tuple[int, int]:
     s = len(tower.exponents)
     length = tower_length(tower) + (n * (n + 1) + 2 * n * s) // 2
     nu = tower_nu(tower) + s * n + n + s if n > 0 else tower_nu(tower)
-    expanded = tower.ideal() * MAXIMAL_IDEAL**n
-    if expanded.colength() != length:
-        raise AssertionError("m-power length form disagrees with the staircase count")
-    if nu_monomial(expanded).nu != nu:
-        raise AssertionError("m-power nu form disagrees with the edge formula")
     return length, nu

@@ -3,38 +3,54 @@
 Every closed form in the package is checked here against an independent
 route: staircase counts against length formulas, the Newton-polygon Behrend
 number against the tower diagram engine, the polygon integral closure
-against the definitional power membership test.  Instances are generated
-from a seeded generator so failures reproduce; results are reported sorted
-by (name, instance).  Only the definitional closure check may return
-"inconclusive" (its certifying power p is unbounded a priori).
+against the definitional power membership test.  The library computes each
+quantity once; the second routes live here:
+
+  nu/tower-min-sum           tower_nu against sum_{k,l} min(i_k, i_l)
+  nu/complete-intersection   nu_lci against the edge formula
+  nu/power-rule              d * nu(I) (nu_power_rule) against nu(I^d)
+  length/m-power, nu/m-power tower_times_m_power against the expansion
+  nu/diagram-consistency     the diagram engine against the polygon engine,
+                             the single-tower form (by the shear onto the
+                             monomial model) or the two-tower form
+  nu/pair-agreement          product_nu against the two-tower form
+  nu/contraction-degrees     build_dynkin's divisor-degree check, for the
+                             products no other route covers
+
+Instances are generated from a seeded generator so failures reproduce;
+results are reported sorted by (name, instance).  Only the definitional
+closure check may return "inconclusive" (its certifying power p is
+unbounded a priori).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 
 from .errors import DomainError, UnsupportedError
-from .expr import ideal_text, product_text
-from .ideals import MonomialIdeal, complete_intersection
+from .expr import ideal_text, product_text, tower_text
+from .ideals import MAXIMAL_IDEAL, MonomialIdeal, complete_intersection
 from .newton import (
     closure_colength,
-    definitional_member,
     integral_closure,
+    integral_closure_oracle,
     is_normal,
     staircase_conditions,
 )
 from .normal_factor import n_ab
-from .nu import nu_monomial
+from .nu import nu_lci, nu_monomial
 from .towers import (
     Factor,
     TowerProduct,
     make_tower,
     noncomplete_product_nu,
     product_nu,
-    tower_ideal,
     tower_length,
+    tower_nu,
+    tower_times_m_power,
     two_tower_length,
     two_tower_nu,
 )
@@ -160,7 +176,7 @@ def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
             CheckResult.compare(
                 "length/complete-tower",
                 f"s={s}",
-                tower_ideal(tower).colength(),
+                tower.ideal().colength(),
                 tower_length(tower),
             )
         )
@@ -168,7 +184,7 @@ def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
         for hy in range(1, bounds.cross_height_max + 1):
             kx = make_tower("x", (), range(1, hx + 1))
             ky = make_tower("y", (), range(1, hy + 1))
-            expected = (tower_ideal(kx) * tower_ideal(ky)).colength()
+            expected = (kx.ideal() * ky.ideal()).colength()
             results.append(
                 CheckResult.compare(
                     "length/cross-pair",
@@ -243,21 +259,82 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
                     nu_monomial(n_ab(alpha, beta)).nu,
                 )
             )
-    for _ in range(bounds.tangent_products):
-        product = random_tangent_tower_product(rng, bounds.tower_exponent_max)
-        # build_dynkin self-checks the divisor degrees of every curve, so a
-        # clean run certifies the multiplicities and survival flags; monomial
-        # instances are additionally pinned to the polygon engine.
-        summary = noncomplete_product_nu(product)
-        expected = (
-            nu_monomial(product.expand()).nu if product.all_monomial else summary.nu
-        )
+    exponents = range(1, bounds.tower_exponent_max + 1)
+    for exps in (s for size in exponents for s in combinations(exponents, size)):
         results.append(
             CheckResult.compare(
-                "nu/diagram-consistency", product_text(product), expected, summary.nu
+                "nu/tower-min-sum",
+                f"exps={list(exps)}",
+                sum(min(a, b) for a in exps for b in exps),
+                tower_nu(make_tower("x", (), exps)),
             )
         )
+    for a in range(1, bounds.nab_max + 1):
+        for b in range(1, bounds.nab_max + 1):
+            results.append(
+                CheckResult.compare(
+                    "nu/complete-intersection",
+                    f"a={a} b={b}",
+                    nu_lci(a, b),
+                    nu_monomial(complete_intersection(a, b)).nu,
+                )
+            )
+    for _ in range(bounds.tangent_products):
+        product = random_tangent_tower_product(rng, bounds.tower_exponent_max)
+        results.append(_diagram_result(product))
     results.extend(check_pair_agreement(bounds))
+    results.extend(check_m_power())
+    return results
+
+
+def _diagram_result(product: TowerProduct) -> CheckResult:
+    """The diagram engine against an independent route for nu, if one exists.
+
+    Monomial products go to the polygon engine; a single tower to its closed
+    form, which holds for its monomial model and so, by the shear, for it;
+    a complete pair to the two-tower form.  Every other product is reported
+    under nu/contraction-degrees, which passes when build_dynkin's
+    divisor-degree check of the multiplicities and survival flags ran clean.
+    """
+    text = product_text(product)
+    try:
+        nu = noncomplete_product_nu(product).nu
+    except AssertionError as error:
+        return CheckResult(
+            "nu/contraction-degrees", text, "consistent divisor degrees", str(error), "fail"
+        )
+    towers = product.towers
+    expected = None
+    if product.all_monomial:
+        expected = nu_monomial(product.expand()).nu
+    elif len(towers) == 1:
+        expected = tower_nu(towers[0])
+    elif len(towers) == 2 and product.all_complete:
+        try:
+            expected = two_tower_nu(*towers)
+        except UnsupportedError:
+            pass
+    if expected is None:
+        return CheckResult.compare("nu/contraction-degrees", text, "clean", "clean")
+    return CheckResult.compare("nu/diagram-consistency", text, expected, nu)
+
+
+def check_m_power() -> list[CheckResult]:
+    """tower_times_m_power against the staircase count and the edge formula
+    on the expanded ideal K * m^n."""
+    results = []
+    for exps in (s for size in (1, 2, 3) for s in combinations(range(2, 6), size)):
+        tower = make_tower("x", (), exps)
+        for n in range(4):
+            expanded = tower.ideal() * MAXIMAL_IDEAL**n
+            length, nu = tower_times_m_power(tower, n)
+            instance = f"{tower_text(tower)} * m^{n}"
+            results.append(
+                CheckResult.compare("length/m-power", instance, expanded.colength(), length)
+            )
+            results.append(
+                CheckResult.compare("nu/m-power", instance, nu_monomial(expanded).nu, nu)
+            )
     return results
 
 
@@ -355,25 +432,24 @@ def check_closure(rng: random.Random, bounds: Bounds, p_max: int | None = None) 
 
 
 def _closure_result(ideal: MonomialIdeal, p_max: int) -> CheckResult:
+    """The polygon closure against the definitional oracle at p <= p_max.
+
+    Both are up-sets, so the oracle lies inside the closure exactly when its
+    generators do, and the closure members it leaves uncertified number the
+    difference of the colengths.
+    """
     closure = integral_closure(ideal)
-    powers = [None, ideal]
-    for _ in range(p_max - 1):
-        powers.append(powers[-1] * ideal)
-    unresolved = 0
-    for a in range(ideal.x_power + 1):
-        for b in range(ideal.y_power + 1):
-            polygon_member = (a, b) in closure
-            certified = definitional_member(powers, a, b)
-            if certified and not polygon_member:
-                return CheckResult(
-                    "closure/definitional",
-                    ideal_text(ideal),
-                    "polygon contains every definitional member",
-                    f"({a}, {b}) certified at p <= {p_max} but outside the polygon",
-                    "fail",
-                )
-            if polygon_member and not certified:
-                unresolved += 1
+    oracle = integral_closure_oracle(ideal, p_max)
+    for a, b in oracle.generators:
+        if (a, b) not in closure:
+            return CheckResult(
+                "closure/definitional",
+                ideal_text(ideal),
+                "polygon contains every definitional member",
+                f"({a}, {b}) certified at p <= {p_max} but outside the polygon",
+                "fail",
+            )
+    unresolved = oracle.colength() - closure.colength()
     if unresolved:
         return CheckResult(
             "closure/definitional",

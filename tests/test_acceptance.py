@@ -26,7 +26,6 @@ from behrend import (
     pick_length,
     product_nu,
     reconstruct,
-    tower_ideal,
     tower_length,
     tower_nu,
     two_tower_length,
@@ -80,7 +79,7 @@ def test_c1_complete_towers():
             assert tower_nu(t) == expected_nu
             assert tower_length(t) == expected_len
             assert product_nu(TowerProduct([t])).nu == expected_nu
-            report = nu_monomial(tower_ideal(t))
+            report = nu_monomial(t.ideal())
             assert report.nu == expected_nu and report.length == expected_len
 
 
@@ -128,7 +127,7 @@ def test_c1_cross_product_lengths():
         for h in range(1, 9):
             expected = h * (h + 1) * (h + 2) // 3 + h * h
             assert two_tower_length(complete("x", h), complete("y", h)) == expected
-            expansion = tower_ideal(complete("x", h)) * tower_ideal(complete("y", h))
+            expansion = complete("x", h).ideal() * complete("y", h).ideal()
             assert expansion.colength() == expected
 
 

@@ -89,9 +89,9 @@ class TestFan:
         assert all(c.label == "smooth" for c in fan.cones)
 
     def test_complete_tower_fan(self):
-        from behrend import make_tower, tower_ideal
+        from behrend import make_tower
 
-        I = tower_ideal(make_tower("x", (), range(1, 6)))
+        I = make_tower("x", (), range(1, 6)).ideal()
         fan = fan_of(I)
         assert fan.rays == ((1, 0), (5, 1), (4, 1), (3, 1), (2, 1), (1, 1), (0, 1))
         assert all(c.label == "smooth" for c in fan.cones)
@@ -104,10 +104,10 @@ class TestFan:
         assert fan.cones[1].label == "index 3"
 
     def test_an_labels_on_noncomplete_tower(self):
-        from behrend import make_tower, tower_ideal
+        from behrend import make_tower
 
         # exponent gap of 3 between consecutive chart rays gives an A_2 point
-        I = tower_ideal(make_tower("x", (), (1, 4)))
+        I = make_tower("x", (), (1, 4)).ideal()
         fan = fan_of(I)
         assert (4, 1) in fan.rays and (1, 1) in fan.rays
         gap = next(c for c in fan.cones if set(c.rays) == {(1, 1), (4, 1)})

@@ -10,8 +10,6 @@ from behrend import (
     UNIT_IDEAL,
     complete_intersection,
     component_count,
-    edge_degree,
-    edge_multiplicity,
     n_ab,
     newton_polygon,
     nu_lci,
@@ -30,37 +28,42 @@ def random_fat_ideal(rng, box=8):
     return MonomialIdeal([g for g in gens if g != (0, 0)])
 
 
+def edge_data(I):
+    """(edge, e, d) of every component, in polygon order."""
+    return [(c.edge, c.e, c.d) for c in nu_monomial(I).components]
+
+
 class TestEdgeData:
     def test_maximal_power_multiplicity(self):
         I = MAXIMAL_IDEAL**4
-        edge = newton_polygon(I).edges[0]
+        [(edge, e, _)] = edge_data(I)
         assert edge.inward_ray == (1, 1)
-        assert edge_multiplicity(I, edge) == 4
+        assert e == 4
 
     def test_rectangle_multiplicity(self):
         I = complete_intersection(4, 6)
-        edge = newton_polygon(I).edges[0]
+        [(edge, e, _)] = edge_data(I)
         assert edge.inward_ray == (3, 2)
-        assert edge_multiplicity(I, edge) == 12
+        assert e == 12
 
     def test_three_edge_multiplicities(self):
         I = ideal((4, 0), (3, 1), (2, 3), (1, 4), (0, 6))
         edges = newton_polygon(I).edges
         assert [e.inward_ray for e in edges] == [(1, 1), (3, 2), (2, 1)]
-        assert [edge_multiplicity(I, e) for e in edges] == [4, 11, 6]
+        assert [edge for edge, _, _ in edge_data(I)] == list(edges)
+        assert [e for _, e, _ in edge_data(I)] == [4, 11, 6]
 
     def test_rectangle_degree(self):
         for k in range(1, 7):
-            I = complete_intersection(k, k)
-            edge = newton_polygon(I).edges[0]
-            assert edge_degree(I, edge) == k
+            [(_, _, d)] = edge_data(complete_intersection(k, k))
+            assert d == k
 
     def test_balanced_pair_degree(self):
         for h in range(1, 6):
             for k in range(1, 6):
                 I = complete_intersection(h, h) * complete_intersection(k, k)
-                edge = newton_polygon(I).edges[0]
-                assert edge_degree(I, edge) == gcd(h, k)
+                [(_, _, d)] = edge_data(I)
+                assert d == gcd(h, k)
 
     def test_normal_ideals_have_degree_one(self):
         rng = random.Random(5)
@@ -77,13 +80,6 @@ class TestEdgeData:
             I = random_fat_ideal(rng)
             for c in nu_monomial(I).components:
                 assert c.edge.lattice_length % c.d == 0
-
-    def test_foreign_edge_rejected(self):
-        edge = newton_polygon(MAXIMAL_IDEAL).edges[0]
-        with pytest.raises(DomainError):
-            edge_multiplicity(MAXIMAL_IDEAL**2, edge)
-        with pytest.raises(DomainError):
-            edge_degree(MAXIMAL_IDEAL**2, edge)
 
 
 class TestNuMonomial:

@@ -11,22 +11,65 @@ from behrend import (
     UnsupportedError,
     build_dynkin,
     contribution,
-    equivalence_classes,
     make_tower,
     noncomplete_product_nu,
     nu_monomial,
     product_nu,
-    tower_ideal,
     tower_length,
     tower_nu,
     tower_times_m_power,
     two_tower_length,
     two_tower_nu,
 )
+from behrend.towers import _partition_at, product_length
 
 
 def complete(branch, height, tangent=()):
     return make_tower(branch, tangent, range(1, height + 1))
+
+
+def _pairwise_related(t1, t2, r):
+    if r == 1 or r > max(t1.height, t2.height):
+        return True
+    if 1 < r <= min(t1.height, t2.height):
+        return t1.branch == t2.branch and t1.tangent_prefix(r) == t2.tangent_prefix(r)
+    return False
+
+
+def equivalence_classes(product, r):
+    """The engine's partition at level r, checked against the pairwise
+    three-case relation, whose transitivity is asserted, not assumed."""
+    towers = product.towers
+    classes, excess = _partition_at(towers, r)
+    lookup = {i: c for c, members in enumerate(classes) for i in members}
+    for i in range(len(towers)):
+        for j in range(i + 1, len(towers)):
+            same = (
+                lookup[i] == lookup[j]
+                if i in lookup and j in lookup
+                else i in excess and j in excess
+            )
+            assert _pairwise_related(towers[i], towers[j], r) == same
+    return classes, excess
+
+
+def random_product(rng, max_height=8):
+    """Up to three towers, monomial or with a tangent, complete or gapped."""
+    while True:
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            branch, height = rng.choice("xy"), rng.randint(1, max_height)
+            if rng.random() < 0.5:
+                exps = list(range(1, height + 1))
+            else:
+                exps = sorted(rng.sample(range(1, height + 1), rng.randint(1, height)))
+            degree = rng.randint(0, exps[-1] - 1) if rng.random() < 0.5 else 0
+            tangent = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(degree))
+            factors.extend(Factor(branch, tangent, e) for e in exps)
+        try:
+            return TowerProduct.from_factors(factors)
+        except UnsupportedError:
+            continue
 
 
 class TestMakeTower:
@@ -36,7 +79,7 @@ class TestMakeTower:
 
     def test_curvilinear(self):
         t = make_tower("x", (), (5,))
-        assert tower_ideal(t) == MonomialIdeal([(1, 0), (0, 5)])
+        assert t.ideal() == MonomialIdeal([(1, 0), (0, 5)])
 
     def test_tangent_degree_bound(self):
         with pytest.raises(DomainError):
@@ -67,23 +110,23 @@ class TestMakeTower:
 
 class TestTowerIdeal:
     def test_complete_height_three(self):
-        assert tower_ideal(complete("x", 3)) == MonomialIdeal(
+        assert complete("x", 3).ideal() == MonomialIdeal(
             [(3, 0), (2, 1), (1, 3), (0, 6)]
         )
 
     def test_gapped(self):
-        assert tower_ideal(make_tower("x", (), (1, 3))) == MonomialIdeal(
+        assert make_tower("x", (), (1, 3)).ideal() == MonomialIdeal(
             [(2, 0), (1, 1), (0, 4)]
         )
 
     def test_y_branch_transposes(self):
-        assert tower_ideal(complete("y", 3)) == MonomialIdeal(
+        assert complete("y", 3).ideal() == MonomialIdeal(
             [(0, 3), (1, 2), (3, 1), (6, 0)]
         )
 
     def test_non_monomial_unsupported(self):
         with pytest.raises(UnsupportedError):
-            tower_ideal(complete("x", 3, tangent=(1,)))
+            complete("x", 3, tangent=(1,)).ideal()
 
 
 class TestClosedForms:
@@ -110,7 +153,7 @@ class TestClosedForms:
         for _ in range(30):
             exps = sorted(rng.sample(range(1, 9), rng.randint(1, 4)))
             t = make_tower(rng.choice("xy"), (), exps)
-            I = tower_ideal(t)
+            I = t.ideal()
             assert tower_length(t) == I.colength()
             assert tower_nu(t) == nu_monomial(I).nu
 
@@ -134,7 +177,7 @@ class TestTwoTowerForms:
         # that expansion is ground truth.
         k1 = complete("x", 2)
         k2 = complete("x", 3, tangent=(0, 1))
-        expansion = tower_ideal(k1) * tower_ideal(complete("x", 3))
+        expansion = k1.ideal() * complete("x", 3).ideal()
         assert two_tower_nu(k1, k2) == nu_monomial(expansion).nu == 22
 
     def test_identical_towers_rejected(self):
@@ -166,7 +209,7 @@ class TestTwoTowerForms:
     def test_length_formula_matches_expansion(self):
         for hx in range(1, 7):
             for hy in range(1, 7):
-                expansion = tower_ideal(complete("x", hx)) * tower_ideal(complete("y", hy))
+                expansion = complete("x", hx).ideal() * complete("y", hy).ideal()
                 assert (
                     two_tower_length(complete("x", hx), complete("y", hy))
                     == expansion.colength()
@@ -237,13 +280,12 @@ class TestEquivalenceClasses:
         classes, excess = equivalence_classes(product, 3)
         assert classes == [(1,)] and excess == (0,)
 
-    def test_needs_complete(self):
-        with pytest.raises(UnsupportedError):
-            equivalence_classes(TowerProduct([make_tower("x", (), (2,))]), 1)
-
-    def test_level_range_checked(self):
-        with pytest.raises(DomainError):
-            equivalence_classes(TowerProduct([complete("x", 2)]), 3)
+    def test_random_products_every_level(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            product = random_product(rng)
+            for r in range(1, max(t.height for t in product.towers) + 2):
+                equivalence_classes(product, r)
 
 
 class TestDynkinShapes:
@@ -338,15 +380,20 @@ class TestContribution:
             assert contribution(product, (0, 1), node.index, diagram) == 1
 
     def test_multiplicity_is_contribution_sum(self):
-        product = TowerProduct([complete("x", 3), complete("y", 2)])
-        diagram = build_dynkin(product)
-        for node in diagram.nodes:
-            total = sum(
-                contribution(product, (i, k), node.index, diagram)
-                for i, t in enumerate(product.towers)
-                for k in t.exponents
-            )
-            assert total == node.multiplicity
+        rng = random.Random(47)
+        products = [TowerProduct([complete("x", 3), complete("y", 2)])]
+        products += [random_product(rng) for _ in range(60)]
+        assert any(not p.all_monomial for p in products)
+        assert any(not p.all_complete for p in products)
+        for product in products:
+            diagram = build_dynkin(product)
+            for node in diagram.nodes:
+                total = sum(
+                    contribution(product, (i, k), node.index, diagram)
+                    for i, t in enumerate(product.towers)
+                    for k in t.exponents
+                )
+                assert total == node.multiplicity
 
     def test_bad_exponent_rejected(self):
         product = TowerProduct([complete("x", 2)])
@@ -415,6 +462,18 @@ class TestNoncompleteProducts:
             product = TowerProduct([make_tower("x", (), (n,))])
             assert noncomplete_product_nu(product).nu == n
 
+    def test_length_routes(self):
+        gapped = TowerProduct([make_tower("x", (1,), (2, 5))])
+        assert product_length(gapped) == noncomplete_product_nu(gapped).length == 2 + 7
+        pair = TowerProduct([complete("x", 2, tangent=(1,)), complete("y", 3)])
+        assert product_length(pair) == 4 + 10 + 6
+        no_route = TowerProduct([complete("x", 2), complete("x", 3, tangent=(1,))])
+        with pytest.raises(UnsupportedError, match="no exact length route"):
+            product_length(TowerProduct([*no_route.towers, complete("y", 1)]))
+        with pytest.raises(UnsupportedError, match="cross-branch"):
+            product_length(no_route)
+        assert noncomplete_product_nu(no_route).length is None
+
     def test_monomial_cross_oracle(self):
         rng = random.Random(29)
         checked = 0
@@ -437,9 +496,7 @@ class TestNoncompleteProducts:
         product = TowerProduct(
             [make_tower("x", (), (2,)), make_tower("x", (0, 1), (1, 2, 3))]
         )
-        sheared = tower_ideal(make_tower("x", (), (2,))) * tower_ideal(
-            make_tower("x", (), (1, 2, 3))
-        )
+        sheared = make_tower("x", (), (2,)).ideal() * make_tower("x", (), (1, 2, 3)).ideal()
         assert noncomplete_product_nu(product).nu == nu_monomial(sheared).nu
 
 

@@ -1,19 +1,48 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from behrend import DomainError
+from behrend import DomainError, TowerProduct, complete_intersection, make_tower
 from behrend.verify import (
     PRESETS,
+    _closure_result,
+    _diagram_result,
     check_length_forms,
     check_closure,
+    check_nu_cross,
     check_pair_agreement,
     random_ideal,
     random_monomial_tower_product,
     random_normal_ideal,
+    random_tangent_tower_product,
     run_all,
     summarize,
 )
+
+PARENT_FAMILIES = {
+    "closure/definitional",
+    "closure/normal-fixed-point",
+    "closure/normal-routes",
+    "closure/normal-staircase-conditions",
+    "length/complete-tower",
+    "length/cross-pair",
+    "length/equal-cross-closed-form",
+    "length/pick",
+    "nu/diagram-consistency",
+    "nu/dual-engine",
+    "nu/equal-degree-pair",
+    "nu/normalized-intersection",
+    "nu/pair-agreement",
+    "nu/power-rule",
+}
+MOVED_FAMILIES = {
+    "length/m-power",
+    "nu/complete-intersection",
+    "nu/contraction-degrees",
+    "nu/m-power",
+    "nu/tower-min-sum",
+}
 
 
 def test_quick_run_has_no_failures():
@@ -93,3 +122,90 @@ def test_pick_disagreement_is_reported_as_failure(monkeypatch):
     pick = [r for r in results if r.name == "length/pick"]
     assert len(pick) == PRESETS["quick"].normal_ideals
     assert all(r.status == "fail" for r in pick)
+
+
+def test_no_cross_check_vanishes():
+    # verify-sweep in the benchmark counts one operation per family, so a
+    # family lost here would also show there as a failed operation
+    results = run_all(seed=0, bounds=PRESETS["quick"])
+    names = {r.name for r in results}
+    assert PARENT_FAMILIES | MOVED_FAMILIES <= names
+    for name in MOVED_FAMILIES:
+        assert all(r.status == "pass" for r in results if r.name == name)
+
+
+@pytest.mark.parametrize(
+    "target, families",
+    [
+        ("tower_times_m_power", {"length/m-power", "nu/m-power"}),
+        ("tower_nu", {"nu/tower-min-sum"}),
+        ("nu_lci", {"nu/complete-intersection"}),
+    ],
+)
+def test_moved_identity_failures_are_reported(monkeypatch, target, families):
+    import behrend.verify
+
+    original = getattr(behrend.verify, target)
+
+    def off_by_one(*args):
+        value = original(*args)
+        return tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
+
+    monkeypatch.setattr(behrend.verify, target, off_by_one)
+    results = check_nu_cross(random.Random(0), PRESETS["quick"])
+    for name in families:
+        reported = [r for r in results if r.name == name]
+        assert reported and all(r.status == "fail" for r in reported)
+
+
+def test_diagram_consistency_uses_independent_routes(monkeypatch):
+    import behrend.verify
+
+    rng = random.Random(11)
+    products = [random_tangent_tower_product(rng, 7) for _ in range(60)]
+    products.append(  # random draws seldom hold a complete non-monomial pair
+        TowerProduct([make_tower("x", (), (1, 2)), make_tower("x", (0, 1), (1, 2, 3))])
+    )
+    results = [_diagram_result(p) for p in products]
+    checked = [r for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
+    assert all(r.status == "pass" for r in checked)
+    routed = [p for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
+    assert any(len(p.towers) == 1 and not p.all_monomial for p in routed)
+    assert any(len(p.towers) == 2 and not p.all_monomial for p in routed)
+    assert any(r.name == "nu/contraction-degrees" for r in results)
+
+    engine = behrend.verify.noncomplete_product_nu
+    monkeypatch.setattr(
+        behrend.verify,
+        "noncomplete_product_nu",
+        lambda product: replace(engine(product), nu=engine(product).nu + 1),
+    )
+    for p in routed:
+        assert _diagram_result(p).status == "fail"
+
+
+def test_contraction_check_failure_is_reported(monkeypatch):
+    import behrend.towers
+
+    def broken(nodes, edges):
+        raise AssertionError("divisor degree 1 on the level-1 curve")
+
+    monkeypatch.setattr(behrend.towers, "_check_contraction_degrees", broken)
+    rng = random.Random(0)
+    results = [_diagram_result(random_tangent_tower_product(rng, 7)) for _ in range(10)]
+    assert all(
+        r.name == "nu/contraction-degrees" and r.status == "fail" for r in results
+    )
+
+
+def test_definitional_closure_statuses(monkeypatch):
+    import behrend.verify
+
+    result = _closure_result(complete_intersection(5, 5), 4)
+    assert result.status == "inconclusive"
+    assert result.actual == "4 polygon members not certified by p <= 4"
+    assert _closure_result(complete_intersection(5, 5), 5).status == "pass"
+    monkeypatch.setattr(behrend.verify, "integral_closure", lambda ideal: ideal)
+    result = _closure_result(complete_intersection(2, 2), 4)
+    assert result.status == "fail"
+    assert result.actual == "(1, 1) certified at p <= 4 but outside the polygon"
