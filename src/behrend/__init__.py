@@ -22,7 +22,6 @@ from .newton import (
     NewtonPolygon,
     closure_power,
     integral_closure,
-    integral_closure_oracle,
     is_normal,
     newton_polygon,
     pick_length,
@@ -83,7 +82,6 @@ __all__ = [
     "newton_polygon",
     "closure_power",
     "integral_closure",
-    "integral_closure_oracle",
     "is_normal",
     "pick_length",
     "staircase_conditions",

@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-from dataclasses import replace
-
 from . import render
 from .errors import DomainError, ParseError, UnsupportedError
 from .expr import factors_text, ideal_text, parse
@@ -22,7 +20,7 @@ from .ideals import MonomialIdeal
 from .newton import integral_closure, is_normal
 from .normal_factor import Fan, factor_normal, fan_of
 from .nu import BehrendReport, nu_monomial
-from .towers import TowerNuSummary, TowerProduct, noncomplete_product_nu, product_length
+from .towers import TowerNuSummary, noncomplete_product_nu, product_length
 from .verify import PRESETS, run_all, summarize
 
 SCHEMA_VERSION = 1
@@ -68,7 +66,7 @@ def fan_json(fan: Fan) -> dict:
     }
 
 
-def dynkin_json(summary: TowerNuSummary, product: TowerProduct) -> dict:
+def dynkin_json(summary: TowerNuSummary) -> dict:
     diagram = summary.diagram
     return {
         "nu": summary.nu,
@@ -103,7 +101,7 @@ def _report_text(report: BehrendReport) -> str:
     return "\n".join(lines)
 
 
-def _summary_text(summary: TowerNuSummary, product: TowerProduct) -> str:
+def _summary_text(summary: TowerNuSummary) -> str:
     lines = [f"nu = {summary.nu}"]
     if summary.length is not None:
         lines.append(f"length = {summary.length}")
@@ -139,12 +137,11 @@ def _run_command(args) -> int:
             report = nu_monomial(elaborated.ideal)
             print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
         else:
-            product = elaborated.require_towers()
-            summary = noncomplete_product_nu(product)
+            summary = noncomplete_product_nu(elaborated.require_towers())
             if as_json:
-                print(_envelope("nu", dynkin_json(summary, product)))
+                print(_envelope("nu", dynkin_json(summary)))
             else:
-                print(_summary_text(summary, product))
+                print(_summary_text(summary))
         return 0
 
     if args.command == "normalize":
@@ -196,7 +193,7 @@ def _run_command(args) -> int:
         if args.svg:
             _write_svg(args.svg, render.dynkin_svg(summary.diagram, product))
         if as_json:
-            print(_envelope("dynkin", dynkin_json(summary, product)))
+            print(_envelope("dynkin", dynkin_json(summary)))
         else:
             print(render.dynkin_dot(summary.diagram, product))
         return 0
@@ -206,8 +203,6 @@ def _run_command(args) -> int:
 
 def _run_verify(args) -> int:
     bounds = PRESETS[args.bounds]
-    if args.p_max is not None:
-        bounds = replace(bounds, closure_p_max=args.p_max)
     results = run_all(seed=args.seed, bounds=bounds)
     counts = summarize(results)
     if args.format == "json":
@@ -285,14 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     verify.add_argument(
         "--bounds", choices=sorted(PRESETS), default="default", help="bounds preset"
-    )
-    verify.add_argument(
-        "--p-max",
-        type=int,
-        default=None,
-        dest="p_max",
-        help="certifying power for the definitional closure oracle "
-        "(default: the bounds preset's value)",
     )
     return parser
 

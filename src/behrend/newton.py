@@ -9,7 +9,8 @@ supporting lines, Pick's theorem for lattice counts).
 Only the polygon's vertices enter the computations, never a scan over the
 columns of the staircase: the closure's colength and normality cost
 O(#generators), the closure itself O(#output generators).  The definitional
-oracle is the one exception, and it is a test oracle.
+oracle is the one exception; it is a test oracle, decisive because
+p <= min(a0, b0) provably certifies every closure member.
 """
 
 from __future__ import annotations
@@ -154,34 +155,27 @@ def is_normal(ideal: MonomialIdeal) -> bool:
     return ideal.colength() == closure_colength(ideal)
 
 
-def default_oracle_p_max(ideal: MonomialIdeal) -> int:
-    """Heuristic certifying power: (t + 1) * lattice length summed over the
-    t polygon edges, floored at 6.  Not a proven bound; unresolved points at
-    this depth are reported as inconclusive, never as failures."""
-    edges = newton_polygon(ideal).edges
-    return max(6, (len(edges) + 1) * sum(e.lattice_length for e in edges))
+def integral_closure_oracle(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Definitional closure: accept x^m iff (x^m)^p lies in I^p for some
+    p <= min(a0, b0), or p = 1 for the unit ideal.
 
-
-def integral_closure_oracle(ideal: MonomialIdeal, p_max: int | None = None) -> MonomialIdeal:
-    """Definitional closure: accept x^m iff (x^m)^p lies in I^p for some p <= p_max.
-
-    Test oracle only; it is independent of the polygon route.  The definitional
-    p is unbounded a priori, so callers comparing against integral_closure
-    should treat points never certified by p <= p_max as inconclusive, not
-    as counterexamples (see verify.check_closure).
+    Test oracle only, independent of the polygon route; the bound makes it
+    decisive.  A closure member m that dominates a vertex needs p = 1.
+    Otherwise m lies above an edge from vertex u to vertex v, of width
+    w = u_x - v_x <= a0.  With the integer s = u_x - m_x, w m dominates
+    (w - s) u + s v, a sum of w generators, so (x^m)^w lies in I^w.  The
+    same argument on the edge to the left of m gives that edge's height,
+    at most b0; so some p <= min(a0, b0) certifies m.
     """
     ideal._require_finite()
-    if p_max is None:
-        p_max = default_oracle_p_max(ideal)
-    if p_max < 1:
-        raise DomainError("p_max must be positive")
+    bound = max(1, min(ideal.x_power, ideal.y_power))
     powers = [None, ideal]
-    for _ in range(p_max - 1):
+    for _ in range(bound - 1):
         powers.append(powers[-1] * ideal)
     accepted = []
     for a in range(ideal.x_power + 1):
         for b in range(ideal.y_power + 1):
-            if any((p * a, p * b) in powers[p] for p in range(1, p_max + 1)):
+            if any((p * a, p * b) in powers[p] for p in range(1, bound + 1)):
                 accepted.append((a, b))
                 break  # larger b in this column is divisible anyway
     return MonomialIdeal(accepted)

@@ -185,10 +185,10 @@ def test_c2_power_rule():
 
 
 def test_c2_closure_oracle():
-    with criterion("2. polygon closure vs definitional oracle, >= 200 ideals, p_max 8, zero failures"):
+    with criterion("2. polygon closure vs definitional oracle, >= 200 ideals, p <= min(a0, b0), zero failures"):
         rng = random.Random(103)
         bounds = PRESETS["default"]
-        results = verify_check_closure(rng, bounds, p_max=8)
+        results = verify_check_closure(rng, bounds)
         counts = summarize(results)
         assert counts["fail"] == 0
         assert sum(1 for r in results if r.name == "closure/definitional") >= 200

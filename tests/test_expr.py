@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from behrend import (
     MAXIMAL_IDEAL,
     DomainError,
+    Factor,
     MonomialIdeal,
     ParseError,
+    TowerProduct,
     UnsupportedError,
     factor_normal,
     factors_text,
@@ -150,6 +154,33 @@ class TestRoundTrips:
         product = TowerProduct(
             [make_tower("x", (), (1, 2)), make_tower("y", (1,), (2, 3))]
         )
+        assert parse(product_text(product)).require_towers().towers == product.towers
+
+
+@st.composite
+def tower_products(draw):
+    """Products built the way the parser builds them, through from_factors."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        branch = draw(st.sampled_from(("x", "y")))
+        exps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))
+        coefficient = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+        tangent = draw(st.lists(coefficient, max_size=max(exps) - 1))
+        factors += [Factor(branch, tuple(tangent), e) for e in exps]
+    try:
+        return TowerProduct.from_factors(factors)
+    except (DomainError, UnsupportedError):
+        assume(False)
+
+
+class TestPrintParseRoundTrips:
+    @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=6))
+    def test_ideal_text(self, gens):
+        I = MonomialIdeal(gens)
+        assert parse(ideal_text(I)).ideal == I
+
+    @given(tower_products())
+    def test_product_text(self, product):
         assert parse(product_text(product)).require_towers().towers == product.towers
 
 

@@ -12,14 +12,13 @@ from behrend import (
     closure_power,
     complete_intersection,
     integral_closure,
-    integral_closure_oracle,
     is_normal,
     n_ab,
     newton_polygon,
     pick_length,
     staircase_conditions,
 )
-from behrend.newton import closure_colength
+from behrend.newton import closure_colength, integral_closure_oracle
 
 
 def ideal(*gens):
@@ -137,31 +136,32 @@ class TestClosure:
 
 class TestDefinitionalOracle:
     def test_square(self):
-        assert integral_closure_oracle(complete_intersection(2, 2), 2) == MAXIMAL_IDEAL**2
+        assert integral_closure_oracle(complete_intersection(2, 2)) == MAXIMAL_IDEAL**2
 
     def test_maximal_is_fixed(self):
-        assert integral_closure_oracle(MAXIMAL_IDEAL, 1) == MAXIMAL_IDEAL
+        assert integral_closure_oracle(MAXIMAL_IDEAL) == MAXIMAL_IDEAL
 
     def test_two_three(self):
-        assert integral_closure_oracle(complete_intersection(2, 3), 3) == ideal(
+        assert integral_closure_oracle(complete_intersection(2, 3)) == ideal(
             (2, 0), (1, 2), (0, 3)
         )
 
+    def test_five_five_needs_p_five(self):
+        # x y^4 is certified only at multiples of p = 5 = min(a0, b0)
+        assert integral_closure_oracle(complete_intersection(5, 5)) == MAXIMAL_IDEAL**5
+
     def test_matches_polygon_closure_on_random_ideals(self):
         rng = random.Random(7)
-        for _ in range(25):
-            a0, b0 = rng.randint(1, 8), rng.randint(1, 8)
+        for _ in range(200):
+            box = rng.randint(6, 12)
+            a0, b0 = rng.randint(1, box), rng.randint(1, box)
             gens = [(a0, 0), (0, b0)]
             gens += [
                 (rng.randint(0, a0), rng.randint(0, b0)) for _ in range(rng.randint(0, 3))
             ]
             gens = [g for g in gens if g != (0, 0)]
             I = MonomialIdeal(gens)
-            assert integral_closure_oracle(I, 8) == integral_closure(I)
-
-    def test_bad_p_max(self):
-        with pytest.raises(DomainError):
-            integral_closure_oracle(MAXIMAL_IDEAL, 0)
+            assert integral_closure_oracle(I) == integral_closure(I)
 
 
 class TestNormality:
