@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 syntax error (with caret diagnostics), 2 domain
 error (not finite colength, unit ideal, non-normal input to a normal-only
 command, failed verification), 3 unsupported combination (no engine covers
-the request).
+the request), 141 standard output closed by its reader before all output
+was written (128 + SIGPIPE, what a shell reports for a writer the signal
+stops; no traceback is printed).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .towers import TowerNuSummary, noncomplete_product_nu, product_length
 from .verify import PRESETS, run_all, summarize
 
 SCHEMA_VERSION = 1
+EXIT_BROKEN_PIPE = 141
 
 
 def _envelope(kind: str, payload: dict) -> str:
@@ -289,7 +292,16 @@ def main(argv=None) -> int:
     if args.command == "normal":
         args.command = "normal?"
     try:
-        return _run_command(args)
+        code = _run_command(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (`behrend nu ... | head -1`).  Point stdout at
+        # devnull so that the interpreter's last flush has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except ParseError as error:
         print(f"syntax error: {error.diagnostic()}", file=sys.stderr)
         return 1

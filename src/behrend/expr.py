@@ -67,10 +67,14 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass(frozen=True)
 class Elaborated:
-    """The two elaborations of an expression; either may be missing."""
+    """The two elaborations of an expression; either may be missing.
+
+    factors is the tower form: each tower literal whole, as one Tower, and
+    each bare m as one Factor; TowerProduct.from_factors groups them.
+    """
 
     ideal: MonomialIdeal | None
-    factors: tuple[Factor, ...] | None
+    factors: tuple[Tower | Factor, ...] | None
 
     def require_ideal(self) -> MonomialIdeal:
         if self.ideal is None:
@@ -242,8 +246,7 @@ class _Parser:
         self.expect(")", "')' closing the tower")
         tower = make_tower(branch, tangent, exps)
         ideal = tower.ideal() if tower.is_monomial else None
-        factors = tuple(Factor(branch, tower.tangent, k) for k in tower.exponents)
-        return Elaborated(ideal=ideal, factors=factors)
+        return Elaborated(ideal=ideal, factors=(tower,))
 
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients

@@ -5,9 +5,27 @@ A tower is a product of curvilinear factors sharing one branch and tangent,
 (or the transpose in y), with deg g < i_s.  Towers are normal; their blowups,
 and the blowups of products of towers, are governed by a rooted leveled tree
 whose nodes are exceptional curves.  The engine here builds that tree from
-tangent-agreement classes level by level, computes the multiplicity of every
-curve from per-factor contributions, and sums the surviving multiplicities
-into the Behrend number.
+tangent-agreement classes, computes the multiplicity of every curve from
+per-factor contributions, and sums the surviving multiplicities into the
+Behrend number.
+
+Construction.  Two towers share the curve at level r >= 2 when both reach
+height r, lie on one branch and have tangents agreeing in every degree
+below r; at level 1 every tower shares the root.  Sorting the towers once by
+branch and then lexicographically by tangent (missing degrees read as 0)
+puts every class at every level in one contiguous run, and the agreement
+depth of any two towers is the minimum of the adjacent depths between them
+(difference_order on one branch, 1 across branches): the property LCP arrays
+rest on (Kasai et al., CPM 2001).  A class at level r is therefore a maximal
+run of towers of height >= r whose adjacent depths, minimized over any
+shorter towers between them, are at least r.  The runs change only on the
+level after a tower ends or an adjacent depth runs out; between those event
+levels each class adds one chain node.
+
+Cost.  O(T log T) tangent comparisons for the sort (each O(agreement depth)),
+O(nodes + factors) for the chains, multiplicities and the contraction check,
+and O(T) at each of at most 2T - 1 event levels, which is no more than the
+member lists those levels write.
 
 The contribution of a factor whose own node is c_I to a node c is the level
 of the deepest common ancestor of c and c_I (a node counts as its own
@@ -20,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, cmp_to_key
 from itertools import accumulate
 
 from .errors import DomainError, UnsupportedError
@@ -66,16 +85,8 @@ class Tower:
                 return i + 1
         return None
 
-    def tangent_prefix(self, r: int) -> tuple[Fraction, ...]:
-        """Coefficients of g in degrees < r, zero-padded to length r - 1."""
-        coeffs = self.tangent[: r - 1]
-        return coeffs + (Fraction(0),) * (r - 1 - len(coeffs))
-
     def linear_coefficient(self) -> Fraction:
         return self.tangent[0] if self.tangent else Fraction(0)
-
-    def completed(self) -> "Tower":
-        return Tower(self.branch, self.tangent, tuple(range(1, self.height + 1)))
 
     def ideal(self) -> MonomialIdeal:
         """Minimal generators of a monomial tower: x^{s-k} y^{i_1+...+i_k}.
@@ -136,13 +147,31 @@ def tower_nu(tower: Tower) -> int:
 
 def difference_order(t1: Tower, t2: Tower):
     """o(g1 - g2) for two same-branch towers; None when the tangents agree."""
-    n = max(len(t1.tangent), len(t2.tangent))
-    pad1 = t1.tangent + (Fraction(0),) * (n - len(t1.tangent))
-    pad2 = t2.tangent + (Fraction(0),) * (n - len(t2.tangent))
-    for i in range(n):
-        if pad1[i] != pad2[i]:
+    g1, g2 = t1.tangent, t2.tangent
+    for i, (a, b) in enumerate(zip(g1, g2)):
+        if a != b:
+            return i + 1
+    longer = g1 if len(g1) > len(g2) else g2
+    for i in range(min(len(g1), len(g2)), len(longer)):
+        if longer[i] != 0:
             return i + 1
     return None
+
+
+def _coefficient(tower: Tower, degree: int) -> Fraction:
+    """Coefficient of g in the given degree, 0 past the stored ones."""
+    return tower.tangent[degree - 1] if degree <= len(tower.tangent) else Fraction(0)
+
+
+def _compare_tangents(t1: Tower, t2: Tower) -> int:
+    """Order by branch, then lexicographically by tangent with missing
+    degrees read as 0 (the order of the zero-padded tangent prefixes)."""
+    if t1.branch != t2.branch:
+        return -1 if t1.branch < t2.branch else 1
+    d = difference_order(t1, t2)
+    if d is None:
+        return 0
+    return -1 if _coefficient(t1, d) < _coefficient(t2, d) else 1
 
 
 def _require_complete(tower: Tower, what: str):
@@ -252,41 +281,49 @@ class TowerProduct:
 
     @classmethod
     def from_factors(cls, factors) -> "TowerProduct":
-        """Group raw factors into towers.
+        """Group raw factors, and whole towers, into towers.
 
-        Same-(branch, tangent) factors merge by exponent union; a repeated
-        exponent within a group is a repeated ideal factor, i.e. a power,
-        which the engine does not model.  Exponent-1 factors all cut out m
-        and float to any group with a free slot.
+        Each item is a Factor or a Tower; a Tower stands for the factors of
+        its exponents, with its tangent already canonical.  Same-(branch,
+        tangent) factors merge by exponent union; a repeated exponent within
+        a group is a repeated ideal factor, i.e. a power, which the engine
+        does not model.  Exponent-1 factors all cut out m and float to any
+        group with a free slot.
         """
         floating = 0
-        groups: dict[tuple, list[int]] = {}
-        for f in factors:
-            if f.exponent == 1:
+        groups: dict[tuple, set[int]] = {}
+        for item in factors:
+            exponents = item.exponents if isinstance(item, Tower) else (item.exponent,)
+            if exponents[0] == 1:
                 floating += 1
-                continue
-            if f.branch is None:
+                exponents = exponents[1:]
+                if not exponents:
+                    continue
+            if isinstance(item, Tower):
+                key = (item.branch, item.tangent)
+            elif item.branch is None:
                 raise DomainError("a bare maximal-ideal factor must have exponent 1")
-            key = (f.branch, _as_coefficients(f.tangent))
-            exps = groups.setdefault(key, [])
-            if f.exponent in exps:
+            else:
+                key = (item.branch, _as_coefficients(item.tangent))
+            exps = groups.setdefault(key, set())
+            if not exps.isdisjoint(exponents):
                 raise UnsupportedError(
                     "repeated tower factor: powers scale nu linearly "
                     "(nu of I^d is d times nu of I), so compute the base product"
                 )
-            exps.append(f.exponent)
+            exps.update(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
         for _ in range(floating):
             for key in sorted(groups):
                 if 1 not in groups[key]:
-                    groups[key].append(1)
+                    groups[key].add(1)
                     break
             else:
                 if ("x", ()) not in groups:
-                    groups[("x", ())] = [1]
+                    groups[("x", ())] = {1}
                 elif ("y", ()) not in groups:
-                    groups[("y", ())] = [1]
+                    groups[("y", ())] = {1}
                 else:
                     raise UnsupportedError(
                         "no tower can absorb another maximal-ideal factor: "
@@ -315,24 +352,36 @@ class TowerProduct:
         return result
 
 
-def _partition_at(towers, r: int):
-    """Non-excess classes (canonical order) and the excess pool at level r.
+def _agreement_order(towers) -> tuple[list[int], list[int]]:
+    """Tower indices sorted by _compare_tangents, and the agreement depth of
+    each adjacent pair: difference_order on one branch, 1 across branches."""
+    order = sorted(
+        range(len(towers)),
+        key=cmp_to_key(lambda i, j: _compare_tangents(towers[i], towers[j])),
+    )
+    depths = []
+    for i, j in zip(order, order[1:]):
+        t1, t2 = towers[i], towers[j]
+        depths.append(difference_order(t1, t2) if t1.branch == t2.branch else 1)
+    return order, depths
 
-    Towers of height below r pool into the excess class; the rest partition
-    by branch and tangent modulo degree < r.  At r = 1 everything is one
-    class.  This partition is transitive by construction; the tests check
-    that it agrees with the pairwise three-case relation.
-    """
-    live = [i for i, t in enumerate(towers) if t.height >= r]
-    excess = tuple(i for i, t in enumerate(towers) if t.height < r)
-    if r == 1:
-        return [tuple(range(len(towers)))], ()
-    grouped: dict[tuple, list[int]] = {}
-    for i in live:
-        key = (towers[i].branch, towers[i].tangent_prefix(r))
-        grouped.setdefault(key, []).append(i)
-    classes = [tuple(grouped[key]) for key in sorted(grouped)]
-    return classes, excess
+
+def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:
+    """Classes at level r, in sorted order, members ascending: maximal runs of
+    towers of height >= r whose adjacent depths, minimized over the shorter
+    towers skipped between them, are at least r."""
+    runs: list[list[int]] = []
+    gap = 0  # least depth since the last tower of height >= r
+    for k, i in enumerate(order):
+        if heights[i] >= r:
+            if runs and gap >= r:
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+            gap = float("inf")
+        if k < len(depths):
+            gap = min(gap, depths[k])
+    return [tuple(sorted(run)) for run in runs]
 
 
 @dataclass(frozen=True)
@@ -370,11 +419,15 @@ class DynkinDiagram:
             i, j = self.parents[i], self.parents[j]
         return self.nodes[i].level
 
+    @cached_property
+    def _factor_nodes(self) -> dict[tuple[int, int], int]:
+        return {factor: node.index for node in self.nodes for factor in node.factors}
+
     def node_of_factor(self, tower_index: int, exponent: int) -> DynkinNode:
-        for node in self.nodes:
-            if (tower_index, exponent) in node.factors:
-                return node
-        raise DomainError(f"no node carries factor ({tower_index}, {exponent})")
+        index = self._factor_nodes.get((tower_index, exponent))
+        if index is None:
+            raise DomainError(f"no node carries factor ({tower_index}, {exponent})")
+        return self.nodes[index]
 
     def nu(self) -> int:
         return sum(n.multiplicity for n in self.nodes if n.surviving)
@@ -383,63 +436,83 @@ class DynkinDiagram:
 def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     """Build the leveled tree for a product of towers.
 
-    Non-complete towers are completed with the same tangent; multiplicities
-    are summed from the original factors only, and a node survives iff its
-    level is an exponent of one of the original towers in its class (the
-    completion's extra curves are contracted on the actual blowup).
+    Every tower is read as its completion (all levels 1..height, same
+    tangent): the node at level r of a class of towers exists whether or not
+    a member has exponent r.  Nodes are numbered level by level; within a
+    level, classes follow the sorted tower order, which on each branch is the
+    order of the zero-padded tangent prefixes of degree < r, because a class
+    is a contiguous run of that order and comparing two towers of different
+    classes decides at a degree below r.  A node's members ascend, its
+    parent is the node one level down holding its members, and a factor
+    (tower i, exponent k) attaches to the level-k node holding i.
+
+    Multiplicities are summed from the original factors only, and a node
+    survives iff one of its members has its level as an exponent, which is
+    exactly when a factor attaches to it (the completion's extra curves are
+    contracted on the actual blowup).  The divisor-degree check runs on every
+    diagram.  See the module docstring for the construction and its cost.
     """
     towers = product.towers
-    completed = [t.completed() for t in towers]
-    height = max(t.height for t in completed)
+    heights = [t.height for t in towers]
+    order, depths = _agreement_order(towers)
+    events = set(heights) | set(depths)  # the runs change on the level after these
+    at_level: dict[int, list[int]] = {}  # level -> towers with that exponent, ascending
+    for i, t in enumerate(towers):
+        for k in t.exponents:
+            at_level.setdefault(k, []).append(i)
 
-    nodes_members: list[tuple[int, tuple[int, ...]]] = []  # (level, members)
-    node_at: list[dict[int, int]] = [dict() for _ in range(height + 1)]
+    levels: list[int] = []
+    members_of: list[tuple[int, ...]] = []
     parents: list[int] = []
-    for r in range(1, height + 1):
-        classes, _ = _partition_at(completed, r)
-        for members in classes:
-            index = len(nodes_members)
-            nodes_members.append((r, members))
-            for i in members:
-                node_at[r][i] = index
-            parents.append(node_at[r - 1][members[0]] if r > 1 else -1)
+    attached: list[list[tuple[int, int]]] = []
+    classes: list[tuple[int, ...]] = []
+    class_of: dict[int, int] = {}  # tower -> position of its class in `classes`
+    tails: list[int] = []  # node of each class at the previous level
+    for r in range(1, max(heights) + 1):
+        if r == 1 or r - 1 in events:
+            runs = _classes_at(r, order, depths, heights)
+            tails = [tails[class_of[members[0]]] if r > 1 else -1 for members in runs]
+            classes = runs
+            class_of = {i: c for c, members in enumerate(classes) for i in members}
+        first = len(levels)
+        for members, parent in zip(classes, tails):
+            levels.append(r)
+            members_of.append(members)
+            parents.append(parent)
+            attached.append([])
+        tails = list(range(first, len(levels)))
+        for i in at_level.get(r, ()):
+            attached[first + class_of[i]].append((i, r))
 
-    edges = tuple((parents[i], i) for i in range(1, len(nodes_members)))
-    degree = [0] * len(nodes_members)
+    count = len(levels)
+    edges = tuple((parents[i], i) for i in range(1, count))
+    degree = [0] * count
     for a, b in edges:
         degree[a] += 1
         degree[b] += 1
-
-    attached: list[list[tuple[int, int]]] = [[] for _ in nodes_members]
-    for i, t in enumerate(towers):
-        for k in t.exponents:
-            attached[node_at[k][i]].append((i, k))
 
     # A factor contributes the level of its meet with c, which is the number
     # of ancestors of c whose subtree holds the factor's node; parents
     # precede their children in the node order.
     below = [len(factors) for factors in attached]
-    for index in range(len(nodes_members) - 1, 0, -1):
+    for index in range(count - 1, 0, -1):
         below[parents[index]] += below[index]
     multiplicity = below[:]
-    for index in range(1, len(nodes_members)):
+    for index in range(1, count):
         multiplicity[index] += multiplicity[parents[index]]
 
-    nodes = []
-    for index, (level, members) in enumerate(nodes_members):
-        surviving = any(level in towers[i].exponents for i in members)
-        self_int = -degree[index] - (1 if level == 1 else 0)
-        nodes.append(
-            DynkinNode(
-                index=index,
-                level=level,
-                members=members,
-                factors=tuple(attached[index]),
-                self_intersection=self_int,
-                multiplicity=multiplicity[index],
-                surviving=surviving,
-            )
+    nodes = [
+        DynkinNode(
+            index=index,
+            level=levels[index],
+            members=members_of[index],
+            factors=tuple(attached[index]),
+            self_intersection=-degree[index] - (1 if levels[index] == 1 else 0),
+            multiplicity=multiplicity[index],
+            surviving=bool(attached[index]),
         )
+        for index in range(count)
+    ]
     _check_contraction_degrees(nodes, edges)
     return DynkinDiagram(nodes=tuple(nodes), edges=edges, parents=tuple(parents))
 

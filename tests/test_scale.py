@@ -1,13 +1,16 @@
-"""Queries whose cost must not depend on the size of the exponents.
+"""Queries whose cost must not depend on the size of the exponents, nor grow
+faster than the diagram the tower engine writes.
 
 Each case runs `python -m behrend` in a child process with a 20 s timeout,
-so a return of a per-column loop over range(a0) fails cleanly instead of
-hanging the suite.
+so a return of a per-column loop over range(a0), or of a per-level pass
+over every tangent prefix, fails cleanly instead of hanging the suite.
 """
 
+import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,17 +19,22 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 WIDE = "(x^100000000, y^3)"
 N = 600_000_000
 FAMILY = f"(x^{N}, x^{N // 2} y^{N // 3}, y^{N + 1})"
+SPARSE = "tower(x; g=y; exps=[1, 10000])"  # a 10000-level chain, nu = H + 3
 
 
-def behrend(*argv: str) -> str:
+def child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.pop("BEHREND_FORMAT", None)
+    return env
+
+
+def behrend(*argv: str) -> str:
     done = subprocess.run(
         [sys.executable, "-m", "behrend", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=20,
     )
     assert done.returncode == 0, done.stderr
@@ -48,3 +56,45 @@ def test_normalize_wide_ideal():
     assert behrend("normalize", WIDE).strip() == (
         "(x^100000000, x^66666667 y, x^33333334 y^2, y^3)"
     )
+
+
+def test_sparse_tower_chain():
+    assert behrend("nu", SPARSE).startswith("nu = 10003\n")
+
+
+def test_four_forked_towers():
+    # distinct linear terms fork the tree at level 2; F is the factor count
+    heights = [3000, 2999, 2997, 2994]
+    linear = [Fraction(1), Fraction(-2), Fraction(1, 3), Fraction(5, 2)]
+    text = " * ".join(
+        f"tower(x; g = {c}*y - y^2 + 3*y^4; exps = [{', '.join(map(str, range(1, h + 1)))}])"
+        for c, h in zip(linear, heights)
+    )
+    f = sum(heights)
+    expected = f + sum(
+        h * (h + 1) * (2 * h + 1) // 6 - h + (h - 1) * (f - h) for h in heights
+    )
+    payload = json.loads(behrend("nu", text, "--format", "json"))
+    assert payload["nu"] == expected
+    assert len(payload["nodes"]) == 1 + sum(h - 1 for h in heights)
+
+
+def test_closed_stdout_exits_quietly():
+    # the chain's text output (about 370 kB) overfills the pipe, so the child
+    # is still writing when the reader closes it
+    child = subprocess.Popen(
+        [sys.executable, "-m", "behrend", "nu", SPARSE],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    try:
+        first = child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=20)
+    finally:
+        child.kill()
+    assert first == "nu = 10003\n"
+    assert err == ""
+    assert child.returncode == 141

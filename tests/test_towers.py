@@ -21,27 +21,39 @@ from behrend import (
     two_tower_length,
     two_tower_nu,
 )
-from behrend.towers import _partition_at, product_length
+from behrend.towers import product_length
 
 
 def complete(branch, height, tangent=()):
     return make_tower(branch, tangent, range(1, height + 1))
 
 
+def tangent_prefix(tower, r):
+    """Coefficients of g in degrees < r, zero-padded to length r - 1."""
+    coeffs = tower.tangent[: r - 1]
+    return coeffs + (Fraction(0),) * (r - 1 - len(coeffs))
+
+
 def _pairwise_related(t1, t2, r):
     if r == 1 or r > max(t1.height, t2.height):
         return True
     if 1 < r <= min(t1.height, t2.height):
-        return t1.branch == t2.branch and t1.tangent_prefix(r) == t2.tangent_prefix(r)
+        return t1.branch == t2.branch and tangent_prefix(t1, r) == tangent_prefix(t2, r)
     return False
 
 
 def equivalence_classes(product, r):
-    """The engine's partition at level r, checked against the pairwise
-    three-case relation, whose transitivity is asserted, not assumed."""
+    """The classes at level r, read off the nodes of the built diagram, and
+    the excess pool (towers below height r).  They are checked against the
+    pairwise three-case relation, whose transitivity is asserted, not
+    assumed, and the classes must come in the order of their branch and
+    zero-padded tangent prefix."""
     towers = product.towers
-    classes, excess = _partition_at(towers, r)
+    classes = [node.members for node in build_dynkin(product).nodes if node.level == r]
+    excess = tuple(i for i, t in enumerate(towers) if t.height < r)
     lookup = {i: c for c, members in enumerate(classes) for i in members}
+    assert sorted(lookup) == [i for i, t in enumerate(towers) if t.height >= r]
+    assert sum(len(members) for members in classes) == len(lookup)
     for i in range(len(towers)):
         for j in range(i + 1, len(towers)):
             same = (
@@ -50,7 +62,89 @@ def equivalence_classes(product, r):
                 else i in excess and j in excess
             )
             assert _pairwise_related(towers[i], towers[j], r) == same
+    keys = [(towers[m[0]].branch, tangent_prefix(towers[m[0]], r)) for m in classes]
+    assert keys == sorted(keys)
     return classes, excess
+
+
+def reference_dynkin(product):
+    """The former per-level engine, kept as a reference: at every level it
+    groups the completed towers by branch and zero-padded tangent prefix and
+    sorts the groups.  Returns one (level, members, factors, parent,
+    self_intersection, multiplicity, surviving) tuple per node."""
+    towers = product.towers
+    height = max(t.height for t in towers)
+    nodes_members, parents = [], []
+    node_at = [dict() for _ in range(height + 1)]
+    for r in range(1, height + 1):
+        if r == 1:
+            classes = [tuple(range(len(towers)))]
+        else:
+            grouped = {}
+            for i, t in enumerate(towers):
+                if t.height >= r:
+                    grouped.setdefault((t.branch, tangent_prefix(t, r)), []).append(i)
+            classes = [tuple(grouped[key]) for key in sorted(grouped)]
+        for members in classes:
+            index = len(nodes_members)
+            nodes_members.append((r, members))
+            for i in members:
+                node_at[r][i] = index
+            parents.append(node_at[r - 1][members[0]] if r > 1 else -1)
+    count = len(nodes_members)
+    degree = [0] * count
+    for index in range(1, count):
+        degree[parents[index]] += 1
+        degree[index] += 1
+    attached = [[] for _ in range(count)]
+    for i, t in enumerate(towers):
+        for k in t.exponents:
+            attached[node_at[k][i]].append((i, k))
+    below = [len(factors) for factors in attached]
+    for index in range(count - 1, 0, -1):
+        below[parents[index]] += below[index]
+    multiplicity = below[:]
+    for index in range(1, count):
+        multiplicity[index] += multiplicity[parents[index]]
+    return [
+        (
+            level,
+            members,
+            tuple(attached[index]),
+            parents[index],
+            -degree[index] - (1 if level == 1 else 0),
+            multiplicity[index],
+            any(level in towers[i].exponents for i in members),
+        )
+        for index, (level, members) in enumerate(nodes_members)
+    ]
+
+
+def forked_product(rng, max_height=12):
+    """One to five towers whose tangents copy a shared random prefix before
+    diverging, so that forks are deep; some towers end below the forks of
+    others, and a prefix followed by zeros or negative terms checks the
+    zero-padded order."""
+    values = (Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
+    shared = [rng.choice(values) for _ in range(max_height - 1)]
+    while True:
+        towers = []
+        for _ in range(rng.randint(1, 5)):
+            branch = "x" if rng.random() < 0.8 else "y"
+            height = rng.randint(1, max_height)
+            degree = rng.randint(0, height - 1)
+            keep = rng.randint(0, degree)
+            tangent = shared[:keep] + [rng.choice(values) for _ in range(degree - keep)]
+            if rng.random() < 0.5:
+                exps = range(1, height + 1)
+            else:
+                exps = sorted(rng.sample(range(1, height), rng.randint(0, height - 1)))
+                exps.append(height)
+            towers.append(make_tower(branch, tangent, exps))
+        try:
+            return TowerProduct.from_factors(towers)
+        except UnsupportedError:
+            continue
 
 
 def random_product(rng, max_height=8):
@@ -282,10 +376,45 @@ class TestEquivalenceClasses:
 
     def test_random_products_every_level(self):
         rng = random.Random(37)
-        for _ in range(40):
-            product = random_product(rng)
+        products = [random_product(rng) for _ in range(40)]
+        products += [forked_product(rng) for _ in range(40)]
+        for product in products:
             for r in range(1, max(t.height for t in product.towers) + 2):
                 equivalence_classes(product, r)
+
+
+class TestReferenceEngine:
+    def test_matches_per_level_engine(self):
+        rng = random.Random(53)
+        products = [forked_product(rng) for _ in range(240)]
+        assert sum(len(p.towers) >= 4 for p in products) >= 40
+        deep_forks = 0
+        for product in products:
+            diagram = build_dynkin(product)
+            actual = [
+                (n.level, n.members, n.factors, diagram.parents[n.index],
+                 n.self_intersection, n.multiplicity, n.surviving)
+                for n in diagram.nodes
+            ]
+            assert actual == reference_dynkin(product)
+            assert [n.index for n in diagram.nodes] == list(range(len(diagram.nodes)))
+            assert diagram.edges == tuple((p, i) for i, p in enumerate(diagram.parents) if i)
+            deep_forks += any(
+                n.level >= 4 and len(diagram.nodes[diagram.parents[n.index]].members)
+                > len(n.members) for n in diagram.nodes
+            )
+        assert deep_forks >= 50
+
+    def test_padded_order_differs_from_stored_order(self):
+        # the product sorts (1,) before (1, 0, -1); the zero-padded prefixes
+        # put (1, 0, -1) first at level 4
+        product = TowerProduct([complete("x", 5, (1,)), complete("x", 5, (1, 0, -1))])
+        assert [t.tangent for t in product.towers] == [(1,), (1, 0, -1)]
+        classes, _ = equivalence_classes(product, 4)
+        assert classes == [(1,), (0,)]
+        assert [n[:2] for n in reference_dynkin(product)] == [
+            (n.level, n.members) for n in build_dynkin(product).nodes
+        ]
 
 
 class TestDynkinShapes:
