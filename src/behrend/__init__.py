@@ -24,7 +24,6 @@ from .newton import (
     integral_closure,
     is_normal,
     newton_polygon,
-    pick_length,
     staircase_conditions,
 )
 from .normal_factor import (
@@ -35,7 +34,6 @@ from .normal_factor import (
     factor_normal,
     fan_of,
     n_ab,
-    reconstruct,
 )
 from .nu import (
     BehrendReport,
@@ -52,7 +50,6 @@ from .towers import (
     TowerNuSummary,
     TowerProduct,
     build_dynkin,
-    contribution,
     make_tower,
     noncomplete_product_nu,
     product_nu,
@@ -83,14 +80,12 @@ __all__ = [
     "closure_power",
     "integral_closure",
     "is_normal",
-    "pick_length",
     "staircase_conditions",
     "NabFactor",
     "Fan",
     "Cone",
     "n_ab",
     "factor_normal",
-    "reconstruct",
     "fan_of",
     "component_count",
     "BehrendReport",
@@ -110,7 +105,6 @@ __all__ = [
     "two_tower_nu",
     "two_tower_length",
     "build_dynkin",
-    "contribution",
     "product_nu",
     "noncomplete_product_nu",
     "tower_times_m_power",

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 syntax error (with caret diagnostics), 2 domain
 error (not finite colength, unit ideal, non-normal input to a normal-only
-command, failed verification), 3 unsupported combination (no engine covers
-the request), 141 standard output closed by its reader before all output
-was written (128 + SIGPIPE, what a shell reports for a writer the signal
-stops; no traceback is printed).
+command, failed verification) or an --svg path that cannot be written,
+3 unsupported combination (no engine covers the request), 141 standard
+output closed by its reader before all output was written (128 + SIGPIPE,
+what a shell reports for a writer the signal stops; no traceback is
+printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,7 +54,7 @@ def report_json(report: BehrendReport) -> dict:
                 "lattice_length": c.edge.lattice_length,
                 "e": c.e,
                 "d": c.d,
-                "contribution": c.contribution,
+                "contribution": c.d * c.e,
             }
             for c in report.components
         ],
@@ -98,7 +100,7 @@ def _report_text(report: BehrendReport) -> str:
     ]
     for c in report.components:
         beta, alpha = c.edge.inward_ray
-        lines.append(f"  ({beta}, {alpha})  e={c.e}  d={c.d}  {c.contribution}")
+        lines.append(f"  ({beta}, {alpha})  e={c.e}  d={c.d}  {c.d * c.e}")
     if not report.normal:
         lines.append("note: component count is an upper bound for non-normal ideals")
     return "\n".join(lines)
@@ -116,8 +118,12 @@ def _summary_text(summary: TowerNuSummary) -> str:
 
 
 def _write_svg(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
+    """Write before anything is printed, so a failed write leaves stdout empty."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    except OSError as error:
+        raise DomainError(f"cannot write SVG to {path}: {error.strerror}") from None
 
 
 def _run_command(args) -> int:
@@ -244,15 +250,15 @@ def _run_verify(args) -> int:
     return 0 if counts["fail"] == 0 else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; --format defaults to None and
+    main resolves it from BEHREND_FORMAT on every call."""
     parser = argparse.ArgumentParser(
         prog="behrend",
         description="Invariants of plane fat points: lengths, closures, fans, "
         "factorizations and Behrend numbers.",
     )
-    default_format = os.environ.get("BEHREND_FORMAT", "text")
-    if default_format not in ("text", "json"):
-        default_format = "text"
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, expr=True, svg=False, aliases=()):
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--format",
             choices=("text", "json"),
-            default=default_format,
+            default=None,
             help="output format (default from BEHREND_FORMAT, else text)",
         )
         if svg:
@@ -289,6 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.format is None:
+        env_format = os.environ.get("BEHREND_FORMAT", "text")
+        args.format = env_format if env_format in ("text", "json") else "text"
     if args.command == "normal":
         args.command = "normal?"
     try:

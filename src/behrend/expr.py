@@ -18,19 +18,24 @@ tower with a raw generator list has neither form and is rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError, UnsupportedError
 from .ideals import MAXIMAL_IDEAL, MonomialIdeal
 from .normal_factor import NabFactor, n_ab
 from .towers import Factor, Tower, TowerProduct, make_tower
 
-_SYMBOLS = "^*(),;=[]+-/"
+# One alternative per token kind, in ASCII only; whitespace is skipped and
+# any other character, digits and letters outside ASCII included, is an error.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|\s+|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", or the symbol itself
     value: str
     pos: int
@@ -38,29 +43,14 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:  # whitespace
             continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalpha() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-        elif c in _SYMBOLS:
-            tokens.append(Token(c, c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", text, i)
+        value = match.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", text, match.start())
+        tokens.append(Token(value if kind == "symbol" else kind, value, match.start()))
     tokens.append(Token("end", "", len(text)))
     return tokens
 

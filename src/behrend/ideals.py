@@ -37,10 +37,6 @@ def minimal_generators(exponents) -> tuple[Exponent, ...]:
     return tuple(kept)
 
 
-def divides(d: Exponent, e: Exponent) -> bool:
-    return d[0] <= e[0] and d[1] <= e[1]
-
-
 class MonomialIdeal:
     """A monomial ideal, immutable, canonicalized to minimal generators.
 
@@ -128,15 +124,12 @@ class MonomialIdeal:
             d >>= 1
         return result
 
-    def contains(self, exponent) -> bool:
+    def __contains__(self, exponent) -> bool:
         """Membership of the monomial x^a y^b in the ideal."""
         a, b = exponent
         if a < 0 or b < 0:
             return False
-        return any(divides(g, (a, b)) for g in self.generators)
-
-    def __contains__(self, exponent) -> bool:
-        return self.contains(exponent)
+        return any(ga <= a and gb <= b for ga, gb in self.generators)
 
     # -- the staircase -------------------------------------------------------
 
@@ -181,18 +174,6 @@ class FerrersDiagram:
             raise DomainError("column heights must be weakly decreasing")
         if h and h[-1] <= 0:
             raise DomainError("column heights must be positive")
-
-    def size(self) -> int:
-        return sum(self.column_heights)
-
-    def to_ideal(self) -> MonomialIdeal:
-        """The monomial ideal whose staircase has these column heights."""
-        h = self.column_heights
-        gens = [(len(h), 0)]
-        for a, height in enumerate(h):
-            if a == 0 or height < h[a - 1]:
-                gens.append((a, height))
-        return MonomialIdeal(gens)
 
 
 UNIT_IDEAL = MonomialIdeal([(0, 0)])

@@ -181,19 +181,6 @@ def integral_closure_oracle(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(accepted)
 
 
-def pick_length(ideal: MonomialIdeal) -> int:
-    """Colength of a normal ideal from the polygon boundary alone.
-
-    The Pick count of closure_colength, which equals the colength only when
-    the staircase fills the polygon, hence the normality requirement.
-    """
-    ideal.require_fat_point()
-    count = closure_colength(ideal)
-    if ideal.colength() != count:
-        raise DomainError("not a normal ideal: use colength() instead")
-    return count
-
-
 def staircase_conditions(ideal: MonomialIdeal) -> bool:
     """Necessary shape conditions on the minimal staircase of a normal ideal.
 

@@ -35,9 +35,6 @@ class NabFactor:
     def ray(self) -> tuple[int, int]:
         return (self.beta, self.alpha)
 
-    def ideal(self) -> MonomialIdeal:
-        return n_ab(self.alpha * self.delta, self.beta * self.delta)
-
 
 def n_ab(alpha: int, beta: int) -> MonomialIdeal:
     """Integral closure of (x^alpha, y^beta): the normal ideal whose polygon
@@ -51,8 +48,8 @@ def factor_normal(ideal: MonomialIdeal) -> tuple[NabFactor, ...]:
     """Unique factorization of a normal ideal into n_ab powers.
 
     One factor per polygon edge; emitted with alpha/beta increasing, which is
-    also the fan's ray order from e1 to e2.  The product of the factors'
-    ideals reconstructs the input exactly.
+    also the fan's ray order from e1 to e2.  The product of
+    n_ab(delta * alpha, delta * beta) over the factors is the input.
     """
     ideal.require_fat_point()
     if not is_normal(ideal):
@@ -63,16 +60,6 @@ def factor_normal(ideal: MonomialIdeal) -> tuple[NabFactor, ...]:
         beta = edge.primitive_step[1]
         factors.append(NabFactor(alpha=alpha, beta=beta, delta=edge.lattice_length))
     return tuple(factors)
-
-
-def reconstruct(factors) -> MonomialIdeal:
-    """Product of n_ab(alpha, beta)^delta over the given factors."""
-    result = None
-    for f in factors:
-        result = f.ideal() if result is None else result * f.ideal()
-    if result is None:
-        raise DomainError("empty factor list")
-    return result
 
 
 @dataclass(frozen=True)

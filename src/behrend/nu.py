@@ -33,10 +33,6 @@ class ComponentRecord:
     e: int
     d: int
 
-    @property
-    def contribution(self) -> int:
-        return self.d * self.e
-
 
 @dataclass(frozen=True)
 class BehrendReport:
@@ -65,7 +61,7 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
                 d = gcd(d, edge.position_of(g))
         components.append(ComponentRecord(edge=edge, e=e, d=d))
     return BehrendReport(
-        nu=sum(c.contribution for c in components),
+        nu=sum(c.d * c.e for c in components),
         length=ideal.colength(),
         components=tuple(components),
         normal=is_normal(ideal),

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import accumulate
 
 from .errors import DomainError, UnsupportedError
@@ -77,13 +77,6 @@ class Tower:
     @property
     def is_monomial(self) -> bool:
         return not self.tangent
-
-    def tangent_order(self):
-        """o(g), or None for the monomial tower."""
-        for i, c in enumerate(self.tangent):
-            if c != 0:
-                return i + 1
-        return None
 
     def linear_coefficient(self) -> Fraction:
         return self.tangent[0] if self.tangent else Fraction(0)
@@ -400,34 +393,12 @@ class DynkinNode:
 
 @dataclass(frozen=True)
 class DynkinDiagram:
-    """Rooted leveled tree of exceptional curves of a tower-product blowup."""
+    """Rooted leveled tree of exceptional curves of a tower-product blowup;
+    nodes[0] is the root."""
 
     nodes: tuple[DynkinNode, ...]
     edges: tuple[tuple[int, int], ...]
     parents: tuple[int, ...]  # parent node index; -1 at the root
-
-    def root(self) -> DynkinNode:
-        return self.nodes[0]
-
-    def meet_level(self, i: int, j: int) -> int:
-        """Level of the deepest common ancestor of two nodes."""
-        while self.nodes[i].level > self.nodes[j].level:
-            i = self.parents[i]
-        while self.nodes[j].level > self.nodes[i].level:
-            j = self.parents[j]
-        while i != j:
-            i, j = self.parents[i], self.parents[j]
-        return self.nodes[i].level
-
-    @cached_property
-    def _factor_nodes(self) -> dict[tuple[int, int], int]:
-        return {factor: node.index for node in self.nodes for factor in node.factors}
-
-    def node_of_factor(self, tower_index: int, exponent: int) -> DynkinNode:
-        index = self._factor_nodes.get((tower_index, exponent))
-        if index is None:
-            raise DomainError(f"no node carries factor ({tower_index}, {exponent})")
-        return self.nodes[index]
 
     def nu(self) -> int:
         return sum(n.multiplicity for n in self.nodes if n.surviving)
@@ -540,27 +511,6 @@ def _check_contraction_degrees(nodes, edges) -> None:
                 f"contradicts multiplicity {node.multiplicity} / "
                 f"survival {node.surviving}"
             )
-
-
-def contribution(product: TowerProduct, factor: tuple[int, int], node_index: int,
-                 diagram: DynkinDiagram | None = None) -> int:
-    """Contribution of one factor (tower index, exponent) to one node's multiplicity.
-
-    Equals the level of the deepest common ancestor of the node and the
-    factor's own node; on the factor's own chain this is min(exponent, level).
-    """
-    tower_index, exponent = factor
-    towers = product.towers
-    if not 0 <= tower_index < len(towers):
-        raise DomainError("no such tower")
-    if exponent not in towers[tower_index].exponents:
-        raise DomainError(
-            f"exponent {exponent} is not a factor of tower {tower_index}"
-        )
-    if diagram is None:
-        diagram = build_dynkin(product)
-    c_i = diagram.node_of_factor(tower_index, exponent)
-    return diagram.meet_level(c_i.index, node_index)
 
 
 @dataclass(frozen=True)

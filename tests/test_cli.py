@@ -106,6 +106,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "nu", "(x^2,,)")
         assert code == 1 and "^" in err
 
+    @pytest.mark.parametrize("expr", ["(x^\u00b2, y)", "(x^\u0663, y)", "(\u00e9, y)"])
+    def test_non_ascii_is_unexpected_character(self, capsys, expr):
+        # a superscript two, an Arabic-Indic three, an accented letter
+        position = next(i for i, c in enumerate(expr) if not c.isascii())
+        code, out, err = run(capsys, "nu", expr)
+        assert code == 1 and out == ""
+        assert f"unexpected character {expr[position]!r}" in err
+        assert err.splitlines()[-1] == "  " + " " * position + "^"
+
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "nu", "(1)")
         assert code == 2 and "domain error" in err
@@ -132,6 +141,13 @@ class TestExitCodes:
         assert code == 3
 
 
+SVG_CASES = [
+    ("ferrers", "(x^3, x y, y^4)"),
+    ("fan", "(x^2, x y^2, y^3)"),
+    ("dynkin", "tower(x; g=0; exps=[1,2]) * tower(y; g=0; exps=[1,2,3])"),
+]
+
+
 class TestOutputsAndEnv:
     def test_format_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("BEHREND_FORMAT", "json")
@@ -144,14 +160,14 @@ class TestOutputsAndEnv:
         code, out, _ = run(capsys, "length", "m^2", "--format", "text")
         assert out.strip() == "length = 3"
 
-    @pytest.mark.parametrize(
-        "command,expr",
-        [
-            ("ferrers", "(x^3, x y, y^4)"),
-            ("fan", "(x^2, x y^2, y^3)"),
-            ("dynkin", "tower(x; g=0; exps=[1,2]) * tower(y; g=0; exps=[1,2,3])"),
-        ],
-    )
+    @pytest.mark.parametrize("command,expr", SVG_CASES)
+    def test_unwritable_svg_path(self, capsys, tmp_path, command, expr):
+        for target in (tmp_path / "missing" / "out.svg", tmp_path):
+            code, out, err = run(capsys, command, expr, "--svg", str(target))
+            assert code == 2 and out == ""
+            assert f"cannot write SVG to {target}" in err
+
+    @pytest.mark.parametrize("command,expr", SVG_CASES)
     def test_svg_outputs_are_selfcontained(self, capsys, tmp_path, command, expr):
         target = tmp_path / "out.svg"
         code, _, _ = run(capsys, command, expr, "--svg", str(target))
@@ -170,10 +186,12 @@ class TestOutputsAndEnv:
         )
 
 
-# the grammar's alphabet as tokens, plus the out-of-scope variable z
+# the grammar's alphabet as tokens, plus the out-of-scope variable z and two
+# non-ASCII characters that str.isdigit and str.isalpha accept
 GRAMMAR_TOKENS = (
     "x", "y", "z", "m", "n", "tower", "g", "exps",
     "(", ")", "^", "*", ",", ";", "=", "[", "]", "+", "-", "/", " ",
+    "\u00b2", "\u00e9",
 )
 
 

@@ -18,6 +18,15 @@ def ideal(*gens):
     return MonomialIdeal(gens)
 
 
+def ideal_of_heights(heights):
+    """The monomial ideal whose staircase has these column heights."""
+    gens = [(len(heights), 0)]
+    for a, height in enumerate(heights):
+        if a == 0 or height < heights[a - 1]:
+            gens.append((a, height))
+    return MonomialIdeal(gens)
+
+
 @st.composite
 def finite_ideals(draw, box=8):
     a0 = draw(st.integers(1, box))
@@ -141,7 +150,7 @@ class TestFerrers:
 
     def test_size_is_colength(self):
         I = ideal((4, 0), (2, 1), (0, 5))
-        assert I.ferrers().size() == I.colength()
+        assert sum(I.ferrers().column_heights) == I.colength()
 
     def test_increasing_heights_rejected(self):
         with pytest.raises(DomainError):
@@ -149,10 +158,10 @@ class TestFerrers:
 
     @given(finite_ideals())
     def test_roundtrip(self, I):
-        assert I.ferrers().to_ideal() == I
+        assert ideal_of_heights(I.ferrers().column_heights) == I
 
     def test_unit_roundtrip(self):
-        assert UNIT_IDEAL.ferrers().to_ideal() == UNIT_IDEAL
+        assert ideal_of_heights(UNIT_IDEAL.ferrers().column_heights) == UNIT_IDEAL
 
 
 class TestFatPointGate:

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -15,12 +17,16 @@ from behrend import (
     fan_of,
     integral_closure,
     n_ab,
-    reconstruct,
 )
 
 
 def ideal(*gens):
     return MonomialIdeal(gens)
+
+
+def reconstruct(factors):
+    """Product of n_ab(delta * alpha, delta * beta) over the factors."""
+    return reduce(mul, (n_ab(f.delta * f.alpha, f.delta * f.beta) for f in factors))
 
 
 VILLA = ideal((6, 0), (4, 1), (2, 2), (1, 3), (0, 5))
