@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 
 from . import render
 from .errors import DomainError, ParseError, UnsupportedError
@@ -233,12 +234,10 @@ def _run_verify(args) -> int:
         print(_envelope("verify", payload))
     else:
         print(f"seed = {args.seed}, bounds = {bounds.name}")
-        by_name: dict[str, int] = {}
-        for r in results:
-            by_name[r.name] = by_name.get(r.name, 0) + 1
-        for name in sorted(by_name):
-            passed = sum(1 for r in results if r.name == name and r.status == "pass")
-            print(f"  {name}: {passed}/{by_name[name]} pass")
+        total = Counter(r.name for r in results)
+        passed = Counter(r.name for r in results if r.status == "pass")
+        for name in sorted(total):
+            print(f"  {name}: {passed[name]}/{total[name]} pass")
         for r in results:
             if r.status != "pass":
                 print(f"  {r.status.upper()} {r.name} [{r.instance}]: "

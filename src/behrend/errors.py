@@ -12,14 +12,14 @@ class BehrendError(ValueError):
 class ParseError(BehrendError):
     """Syntax error in an ideal/tower expression; carries the offset."""
 
-    def __init__(self, message, text=None, position=None):
+    def __init__(self, message, text, position):
         super().__init__(message)
-        self.text = text
-        self.position = position
+        self.text, self.position = text, position
+
+    def __reduce__(self):  # copy and pickle pass the three arguments back
+        return type(self), (str(self), self.text, self.position)
 
     def diagnostic(self):
-        if self.text is None or self.position is None:
-            return str(self)
         caret = " " * self.position + "^"
         return f"{self}\n  {self.text}\n  {caret}"
 

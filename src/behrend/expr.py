@@ -242,22 +242,12 @@ class _Parser:
         """Polynomial in the branch-opposite variable with rational coefficients
         and zero constant term; returns dense coefficients of degree 1, 2, ..."""
         coefficients: dict[int, Fraction] = {}
-        sign = Fraction(1)
-        first = True
         while True:
-            token = self.peek()
-            if token.kind == "+":
+            sign = -1 if self.peek().kind == "-" else 1
+            if self.peek().kind in ("+", "-"):
                 self.advance()
-                sign = Fraction(1)
-            elif token.kind == "-":
-                self.advance()
-                sign = Fraction(-1)
-            elif not first:
-                break
             coefficient, degree = self.tangent_term(variable)
             coefficients[degree] = coefficients.get(degree, Fraction(0)) + sign * coefficient
-            sign = Fraction(1)
-            first = False
             if self.peek().kind not in ("+", "-"):
                 break
         if coefficients.get(0, Fraction(0)) != 0:

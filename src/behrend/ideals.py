@@ -24,16 +24,11 @@ def minimal_generators(exponents) -> tuple[Exponent, ...]:
         raise DomainError("a monomial ideal needs at least one generator")
     if points[0][0] < 0 or any(b < 0 for _, b in points):
         raise DomainError("exponents must be nonnegative")
-    kept: list[Exponent] = []
-    last_column = None
-    best_height = None
-    for a, b in points:
-        if a == last_column:
-            continue
-        last_column = a
-        if best_height is None or b < best_height:
-            kept.append((a, b))
-            best_height = b
+    # in (a, b) order a point is minimal iff it lies below the last kept one
+    kept = [points[0]]
+    for point in points[1:]:
+        if point[1] < kept[-1][1]:
+            kept.append(point)
     return tuple(kept)
 
 

@@ -79,41 +79,20 @@ class Fan:
     cones: tuple[Cone, ...]
 
 
-def _cone_weight(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
-    """Normal form of the cone <u, v> as the cyclic quotient 1/d(1, q)."""
-    d = u[0] * v[1] - u[1] * v[0]
-    if d <= 0:
-        raise DomainError("rays must be ordered by increasing slope")
-    # unimodular row (p, q0) completing u: p*u0 + q0*u1 = 1
-    p, q0 = _bezout(u[0], u[1])
-    y = p * v[0] + q0 * v[1]
-    return d, (-y) % d
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r != 1:
-        raise DomainError("ray is not primitive")
-    return old_s, old_t
-
-
 def cone_label(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, str]:
     """Index and singularity label of the cone <u, v>.
 
-    d = 1 is smooth; 1/d(1, d-1) is the Kleinian A_{d-1} point; other cyclic
-    quotients (never Gorenstein) are reported by their index only.
+    d = 1 is smooth.  The cone is the Kleinian A_{d-1} point 1/d(1, d-1) iff
+    some integral form equals 1 on both rays; by Cramer's rule that form is
+    (v1 - u1, u0 - v0) / d, so the test is that d divides both differences.
+    Other cyclic quotients are reported by their index only.
     """
-    d, q = _cone_weight(u, v)
+    d = u[0] * v[1] - u[1] * v[0]
+    if d <= 0:
+        raise DomainError("rays must be ordered by increasing slope")
     if d == 1:
         return 1, "smooth"
-    if q == d - 1:
+    if (v[1] - u[1]) % d == 0 and (u[0] - v[0]) % d == 0:
         return d, f"A_{d - 1}"
     return d, f"index {d}"
 

@@ -3,8 +3,8 @@
 For each bounded edge of the Newton polygon (one normalization component per
 edge), two integers are extracted from the generators of I:
 
-  e  = min over generators g of <inward_ray, g>   (multiplicity of the
-       pulled-back divisor along the component), and
+  e  = min over generators g of <inward_ray, g>, the edge's support value
+       (multiplicity of the pulled-back divisor along the component), and
   d  = gcd of the positions, in primitive steps along the edge, of the
        generators realizing that minimum (degree of the component over the
        exceptional curve; the endpoints always count, so d divides the
@@ -54,7 +54,7 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
     components = []
     for edge in newton_polygon(ideal).edges:
         beta, alpha = edge.inward_ray
-        e = min(beta * a + alpha * b for a, b in ideal.generators)
+        e = edge.support_value
         d = 0
         for g in ideal.generators:
             if beta * g[0] + alpha * g[1] == e:

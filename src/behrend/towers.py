@@ -250,20 +250,16 @@ class TowerProduct:
                 "towers sharing branch and tangent must be merged or rejected; "
                 "build products through from_factors"
             )
-        # cross-branch towers whose projectivized tangent directions coincide
-        # (linear coefficients multiplying to 1) belong on a common branch
-        # after a linear change of variables; the class machinery would
-        # wrongly separate them, so they are rejected here.
-        for i, t1 in enumerate(towers):
-            for t2 in towers[i + 1 :]:
-                if (
-                    t1.branch != t2.branch
-                    and t1.linear_coefficient() * t2.linear_coefficient() == 1
-                ):
-                    raise UnsupportedError(
-                        "cross-branch towers with aligned tangent directions: "
-                        "rewrite them on a common branch first"
-                    )
+        # cross-branch towers with aligned directions (c_x * c_y = 1) share a
+        # branch after a linear change of variables; the classes would split them
+        x_coefficients = {t.linear_coefficient() for t in towers if t.branch == "x"}
+        for t in towers:
+            c = t.linear_coefficient()
+            if t.branch == "y" and c and 1 / c in x_coefficients:
+                raise UnsupportedError(
+                    "cross-branch towers with aligned tangent directions: "
+                    "rewrite them on a common branch first"
+                )
         object.__setattr__(self, "towers", towers)
 
     def __setattr__(self, name, value):
@@ -280,8 +276,9 @@ class TowerProduct:
         its exponents, with its tangent already canonical.  Same-(branch,
         tangent) factors merge by exponent union; a repeated exponent within
         a group is a repeated ideal factor, i.e. a power, which the engine
-        does not model.  Exponent-1 factors all cut out m and float to any
-        group with a free slot.
+        does not model.  Exponent-1 factors all cut out m; they fill the
+        groups lacking exponent 1 in sorted order, then new monomial towers
+        on x and on y.
         """
         floating = 0
         groups: dict[tuple, set[int]] = {}
@@ -307,21 +304,15 @@ class TowerProduct:
             exps.update(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
-        for _ in range(floating):
-            for key in sorted(groups):
-                if 1 not in groups[key]:
-                    groups[key].add(1)
-                    break
-            else:
-                if ("x", ()) not in groups:
-                    groups[("x", ())] = {1}
-                elif ("y", ()) not in groups:
-                    groups[("y", ())] = {1}
-                else:
-                    raise UnsupportedError(
-                        "no tower can absorb another maximal-ideal factor: "
-                        "powers of m scale nu linearly, so factor them out first"
-                    )
+        slots = [key for key in sorted(groups) if 1 not in groups[key]]
+        slots += [key for key in (("x", ()), ("y", ())) if key not in groups]
+        if floating > len(slots):
+            raise UnsupportedError(
+                "no tower can absorb another maximal-ideal factor: "
+                "powers of m scale nu linearly, so factor them out first"
+            )
+        for key in slots[:floating]:
+            groups.setdefault(key, set()).add(1)
         return cls(
             make_tower(branch, tangent, sorted(exps))
             for (branch, tangent), exps in groups.items()
@@ -457,17 +448,15 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
 
     count = len(levels)
     edges = tuple((parents[i], i) for i in range(1, count))
-    degree = [0] * count
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
 
     # A factor contributes the level of its meet with c, which is the number
     # of ancestors of c whose subtree holds the factor's node; parents
     # precede their children in the node order.
     below = [len(factors) for factors in attached]
+    children = [0] * count
     for index in range(count - 1, 0, -1):
         below[parents[index]] += below[index]
+        children[parents[index]] += 1
     multiplicity = below[:]
     for index in range(1, count):
         multiplicity[index] += multiplicity[parents[index]]
@@ -478,7 +467,7 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
             level=levels[index],
             members=members_of[index],
             factors=tuple(attached[index]),
-            self_intersection=-degree[index] - (1 if levels[index] == 1 else 0),
+            self_intersection=-1 - children[index],
             multiplicity=multiplicity[index],
             surviving=bool(attached[index]),
         )

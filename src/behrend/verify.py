@@ -14,8 +14,9 @@ quantity once; the second routes live here:
                              the single-tower form (by the shear onto the
                              monomial model) or the two-tower form
   nu/pair-agreement          product_nu against the two-tower form
-  nu/contraction-degrees     build_dynkin's divisor-degree check, for the
-                             products no other route covers
+  nu/contraction-degrees     the diagram engine against pairwise_meet_nu
+                             (meet levels of factor pairs), for the products
+                             no other route covers
 
 Instances are generated from a seeded generator so failures reproduce;
 results are reported sorted by (name, instance).  Every check is decisive
@@ -48,6 +49,7 @@ from .towers import (
     BRANCHES,
     Factor,
     TowerProduct,
+    difference_order,
     make_tower,
     noncomplete_product_nu,
     product_nu,
@@ -313,9 +315,9 @@ def _diagram_result(product: TowerProduct) -> CheckResult:
 
     Monomial products go to the polygon engine; a single tower to its closed
     form, which holds for its monomial model and so, by the shear, for it;
-    a complete pair to the two-tower form.  Every other product is reported
-    under nu/contraction-degrees, which passes when build_dynkin's
-    divisor-degree check of the multiplicities and survival flags ran clean.
+    a complete pair to the two-tower form.  Every other product goes to
+    pairwise_meet_nu under nu/contraction-degrees, which also reports a
+    failed divisor-degree check of build_dynkin.
     """
     text = product_text(product)
     try:
@@ -336,8 +338,33 @@ def _diagram_result(product: TowerProduct) -> CheckResult:
         except UnsupportedError:
             pass
     if expected is None:
-        return CheckResult.compare("nu/contraction-degrees", text, "clean", "clean")
+        expected = pairwise_meet_nu(product)
+        return CheckResult.compare("nu/contraction-degrees", text, expected, nu)
     return CheckResult.compare("nu/diagram-consistency", text, expected, nu)
+
+
+def pairwise_meet_nu(product: TowerProduct) -> int:
+    """nu of a tower product by the contribution rule, without the diagram.
+
+    Factors (i, k) and (j, l), tower and exponent, meet at level
+    min(k, l, a_ij) for the agreement depth a_ij: difference_order on one
+    branch, 1 across branches, unbounded for i = j.  They sit on one curve
+    when k == l <= a_ij; nu sums each curve's meet levels with every factor.
+    """
+    towers = product.towers
+
+    def depth(i: int, j: int):
+        if i == j:
+            return float("inf")
+        same_branch = towers[i].branch == towers[j].branch
+        return difference_order(towers[i], towers[j]) if same_branch else 1
+
+    factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
+    curves: list[tuple[int, int]] = []
+    for i, k in factors:
+        if not any(l == k and k <= depth(i, j) for j, l in curves):
+            curves.append((i, k))
+    return sum(min(k, l, depth(i, j)) for i, k in curves for j, l in factors)
 
 
 def check_m_power() -> list[CheckResult]:

@@ -101,6 +101,89 @@ class TestCommands:
         assert all(r["status"] != "fail" for r in payload["results"])
 
 
+# one case per JSON kind that no other test validates, with pinned values
+JSON_KINDS = [
+    ("length", "(x^3, x y, y^2)", "length", {"length": 4}),
+    (
+        "normalize",
+        "(x^2, y^3)",
+        "ideal",
+        {"generators": [[0, 3], [1, 2], [2, 0]], "text": "(x^2, x y^2, y^3)"},
+    ),
+    ("normal?", "(x^2, y^2)", "normal", {"normal": False}),
+    (
+        "factor",
+        "(x^6, x^4 y, x^2 y^2, x y^3, y^5)",
+        "factorization",
+        {
+            "factors": [
+                {"alpha": 1, "beta": 2, "delta": 1},
+                {"alpha": 1, "beta": 1, "delta": 1},
+                {"alpha": 2, "beta": 1, "delta": 2},
+            ]
+        },
+    ),
+    ("ferrers", "(x^3, x y, y^2)", "ferrers", {"column_heights": [2, 1, 1]}),
+    (
+        "nu",
+        "tower(x; g = y; exps = [2, 3])",
+        "nu",
+        {
+            "nu": 9,
+            "length": 7,
+            "nodes": [
+                {"level": 1, "members": [0], "factors": [], "self_intersection": -2,
+                 "multiplicity": 2, "surviving": False},
+                {"level": 2, "members": [0], "factors": [[0, 2]], "self_intersection": -2,
+                 "multiplicity": 4, "surviving": True},
+                {"level": 3, "members": [0], "factors": [[0, 3]], "self_intersection": -1,
+                 "multiplicity": 5, "surviving": True},
+            ],
+            "edges": [[0, 1], [1, 2]],
+        },
+    ),
+]
+
+
+class TestJsonKinds:
+    @pytest.mark.parametrize("command,expr,kind,fields", JSON_KINDS)
+    def test_kind_validates_with_pinned_values(self, capsys, command, expr, kind, fields):
+        payload = run_json(capsys, command, expr)
+        assert payload == {"schema_version": 1, "kind": kind, **fields}
+
+    def test_non_normal_nu_notes_the_upper_bound(self, capsys):
+        code, out, _ = run(capsys, "nu", "(x^2, y^2)")
+        assert code == 0
+        assert out.splitlines() == [
+            "nu = 4",
+            "length = 4",
+            "normal = false",
+            "components (ray, e, d, d*e):",
+            "  (1, 1)  e=2  d=2  4",
+            "note: component count is an upper bound for non-normal ideals",
+        ]
+
+    def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
+        import behrend.cli
+        from behrend.verify import CheckResult
+
+        results = [
+            CheckResult("nu/a", "i", 3, 3, "pass"),
+            CheckResult("nu/a", "j", 4, 5, "fail"),
+            CheckResult("nu/b", "k", 1, 1, "pass"),
+        ]
+        monkeypatch.setattr(behrend.cli, "run_all", lambda seed, bounds: results)
+        code, out, _ = run(capsys, "verify", "--bounds", "quick")
+        assert code == 2
+        assert out.splitlines() == [
+            "seed = 0, bounds = quick",
+            "  nu/a: 1/2 pass",
+            "  nu/b: 1/1 pass",
+            "  FAIL nu/a [j]: expected 4, got 5",
+            "total: 2 pass, 1 fail, 0 inconclusive",
+        ]
+
+
 class TestExitCodes:
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "nu", "(x^2,,)")

@@ -82,6 +82,15 @@ class TestParsing:
         assert info.value.position == 6
         assert "^" in info.value.diagnostic()
 
+    def test_parse_error_survives_copy_and_pickle(self):
+        import copy
+        import pickle
+
+        with pytest.raises(ParseError) as info:
+            parse("(x^2, )")
+        for clone in (copy.copy(info.value), pickle.loads(pickle.dumps(info.value))):
+            assert clone.diagnostic() == info.value.diagnostic()
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("m^2 extra")

@@ -38,6 +38,15 @@ def finite_ideals(draw, box=8):
     return MonomialIdeal(gens)
 
 
+def brute_minimal(points):
+    """The points no other point divides, by comparing every pair."""
+    points = set(points)
+    divided = {
+        p for p in points for q in points if q != p and q[0] <= p[0] and q[1] <= p[1]
+    }
+    return tuple(sorted(points - divided))
+
+
 class TestMinimalGenerators:
     def test_drops_divisible(self):
         assert minimal_generators([(2, 0), (3, 1), (0, 2)]) == ((0, 2), (2, 0))
@@ -70,6 +79,16 @@ class TestMinimalGenerators:
         for a in range(10):
             for b in range(10):
                 assert ((a, b) in I) == ((a, b) in J)
+
+
+    @given(
+        finite_ideals(),
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=6),
+    )
+    def test_matches_brute_force(self, I, extra):
+        # the ideal's generators plus random points, some in shared columns
+        raw = list(I.generators) + extra + [(a, b + 1) for a, b in extra]
+        assert minimal_generators(raw) == brute_minimal(raw)
 
 
 class TestProductAndPower:

@@ -18,6 +18,7 @@ from behrend import (
     integral_closure,
     n_ab,
 )
+from behrend.normal_factor import cone_label
 
 
 def ideal(*gens):
@@ -27,6 +28,23 @@ def ideal(*gens):
 def reconstruct(factors):
     """Product of n_ab(delta * alpha, delta * beta) over the factors."""
     return reduce(mul, (n_ab(f.delta * f.alpha, f.delta * f.beta) for f in factors))
+
+
+def reference_cone_label(u, v):
+    """Cone type by its cyclic-quotient weight: <u, v> is 1/d(1, q), with q
+    read off a unimodular row (p, p') completing u (extended Euclid)."""
+    d = u[0] * v[1] - u[1] * v[0]
+    old_r, r, old_s, s, old_t, t = u[0], u[1], 1, 0, 0, 1
+    while r:
+        k = old_r // r
+        old_r, r = r, old_r - k * r
+        old_s, s = s, old_s - k * s
+        old_t, t = t, old_t - k * t
+    assert old_r == 1, "u must be primitive"
+    q = -(old_s * v[0] + old_t * v[1]) % d
+    if d == 1:
+        return 1, "smooth"
+    return d, f"A_{d - 1}" if q == d - 1 else f"index {d}"
 
 
 VILLA = ideal((6, 0), (4, 1), (2, 2), (1, 3), (0, 5))
@@ -130,6 +148,22 @@ class TestFan:
                 MonomialIdeal([(rng.randint(1, 6), 0), (0, rng.randint(1, 6))])
             )
             assert set(fan_of(I * J).rays) == set(fan_of(I).rays) | set(fan_of(J).rays)
+
+
+class TestConeLabel:
+    def test_matches_cyclic_quotient_weight(self):
+        # every ordered pair of primitive rays in [0, 20]^2
+        rays = [(a, b) for a in range(21) for b in range(21) if gcd(a, b) == 1]
+        labelled = 0
+        for u in rays:
+            for v in rays:
+                if u[0] * v[1] - u[1] * v[0] <= 0:
+                    with pytest.raises(DomainError):
+                        cone_label(u, v)
+                    continue
+                assert cone_label(u, v) == reference_cone_label(u, v), (u, v)
+                labelled += 1
+        assert labelled > 10_000
 
 
 class TestComponentCount:

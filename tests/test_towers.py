@@ -347,6 +347,44 @@ class TestTowerProduct:
         with pytest.raises(UnsupportedError):
             TowerProduct.from_factors([Factor(None, (), 1)] * 3)
 
+    # towers as (branch, tangent, exponents); a literal's own exponent 1
+    # floats like a bare m, and free slots are the groups lacking exponent 1
+    # in (branch, tangent) order, then new monomial towers on x and on y
+    X1, Y1 = ("x", (), (1,)), ("y", (), (1,))
+    NO_GROUP = []
+    WITHOUT_ONE = [("x", (), (2, 3))]
+    WITH_ONE = [("x", (1,), (1, 2))]
+    TWO_GROUPS = [("y", (), (1, 3)), ("x", (1,), (2,))]
+
+    @pytest.mark.parametrize(
+        "towers,count,expected",
+        [
+            (NO_GROUP, 1, [X1]),
+            (NO_GROUP, 2, [X1, Y1]),
+            (NO_GROUP, 3, None),
+            (WITHOUT_ONE, 0, [("x", (), (2, 3))]),
+            (WITHOUT_ONE, 1, [("x", (), (1, 2, 3))]),
+            (WITHOUT_ONE, 2, [("x", (), (1, 2, 3)), Y1]),
+            (WITHOUT_ONE, 3, None),
+            (WITH_ONE, 0, [("x", (1,), (1, 2))]),
+            (WITH_ONE, 1, [("x", (1,), (1, 2)), X1]),
+            (WITH_ONE, 2, [("x", (1,), (1, 2)), X1, Y1]),
+            (WITH_ONE, 3, None),
+            (TWO_GROUPS, 0, [("x", (1,), (1, 2)), ("y", (), (3,))]),
+            (TWO_GROUPS, 1, [("x", (1,), (1, 2)), ("y", (), (1, 3))]),
+            (TWO_GROUPS, 2, [("x", (1,), (1, 2)), ("y", (), (1, 3)), X1]),
+            (TWO_GROUPS, 3, None),
+        ],
+    )
+    def test_bare_m_fill_free_slots_in_order(self, towers, count, expected):
+        items = [make_tower(*t) for t in towers] + [Factor(None, (), 1)] * count
+        if expected is None:
+            with pytest.raises(UnsupportedError, match="absorb another maximal-ideal"):
+                TowerProduct.from_factors(items)
+            return
+        product = TowerProduct.from_factors(items)
+        assert {(t.branch, t.tangent, t.exponents) for t in product.towers} == set(expected)
+
     def test_same_key_towers_rejected_directly(self):
         with pytest.raises(DomainError):
             TowerProduct([complete("x", 2), complete("x", 3)])
@@ -675,6 +713,20 @@ class TestCrossBranchAlignment:
         kx = complete("x", 2, tangent=(Fraction(1, 2),))
         ky = complete("y", 2, tangent=(3,))
         assert product_nu(TowerProduct([kx, ky])).nu == two_tower_nu(kx, ky)
+
+    def test_aligned_at_reciprocal_coefficient(self):
+        # c_x = 1/c for the y coefficient c = -3/2, among other x towers
+        kx = complete("x", 3, tangent=(Fraction(-2, 3), 1))
+        others = [complete("x", 2, tangent=(5,)), complete("x", 2)]
+        ky = complete("y", 3, tangent=(Fraction(-3, 2),))
+        with pytest.raises(UnsupportedError, match="aligned tangent directions"):
+            TowerProduct([*others, kx, ky])
+
+    def test_zero_linear_coefficient_never_aligned(self):
+        # a y tower with c = 0 has no reciprocal; c_x * 0 is never 1
+        kx = complete("x", 3, tangent=(0, 1))
+        ky = complete("y", 3, tangent=(0, 2))
+        assert len(TowerProduct([kx, ky, complete("x", 2, tangent=(7,))]).towers) == 3
 
     def test_monomial_cross_pair_never_aligned(self):
         TowerProduct([complete("x", 3), complete("y", 4)])

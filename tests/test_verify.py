@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from behrend import MonomialIdeal, TowerProduct, complete_intersection, make_tower, parse
+from behrend import (
+    MonomialIdeal,
+    TowerProduct,
+    build_dynkin,
+    complete_intersection,
+    make_tower,
+    parse,
+)
 from behrend.verify import (
     PRESETS,
     _closure_result,
@@ -12,6 +19,8 @@ from behrend.verify import (
     check_closure,
     check_nu_cross,
     check_pair_agreement,
+    pairwise_meet_nu,
+    random_complete_pair,
     random_ideal,
     random_monomial_tower_product,
     random_normal_ideal,
@@ -140,6 +149,7 @@ def test_no_cross_check_vanishes():
         ("tower_nu", {"nu/tower-min-sum"}),
         ("nu_lci", {"nu/complete-intersection"}),
         ("nu_power_rule", {"nu/power-rule"}),
+        ("pairwise_meet_nu", {"nu/contraction-degrees"}),
     ],
 )
 def test_moved_identity_failures_are_reported(monkeypatch, target, families):
@@ -182,6 +192,27 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
     )
     for p in routed:
         assert _diagram_result(p).status == "fail"
+
+
+def test_pairwise_meet_nu_matches_the_diagram():
+    # the second route of nu/contraction-degrees, on every product generator
+    rng = random.Random(5)
+    for _ in range(100):
+        for product in (
+            random_monomial_tower_product(rng, 7),
+            random_tangent_tower_product(rng, 7),
+            random_complete_pair(rng),
+        ):
+            assert pairwise_meet_nu(product) == build_dynkin(product).nu()
+
+
+def test_contraction_degrees_compares_two_integers():
+    results = run_all(seed=0, bounds=PRESETS["quick"])
+    reported = [r for r in results if r.name == "nu/contraction-degrees"]
+    assert reported
+    for r in reported:
+        assert isinstance(r.expected, int) and r.expected == r.actual
+        assert r.actual == build_dynkin(parse(r.instance).require_towers()).nu()
 
 
 def test_contraction_check_failure_is_reported(monkeypatch):
