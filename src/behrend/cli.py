@@ -33,16 +33,16 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _envelope(kind: str, payload: dict) -> str:
-    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **payload}, indent=2)
+    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **payload})
 
 
 def ideal_json(ideal: MonomialIdeal) -> dict:
-    return {"generators": [list(g) for g in ideal.generators], "text": ideal_text(ideal)}
+    return {"generators": ideal.generators, "text": ideal_text(ideal)}
 
 
 def report_json(report: BehrendReport) -> dict:
-    vertices = [list(report.components[0].edge.start)] if report.components else []
-    vertices += [list(c.edge.end) for c in report.components]
+    vertices = [report.components[0].edge.start] if report.components else []
+    vertices += [c.edge.end for c in report.components]
     return {
         "nu": report.nu,
         "length": report.length,
@@ -50,8 +50,8 @@ def report_json(report: BehrendReport) -> dict:
         "polygon": {"vertices": vertices},
         "components": [
             {
-                "ray": list(c.edge.inward_ray),
-                "step": list(c.edge.primitive_step),
+                "ray": c.edge.inward_ray,
+                "step": c.edge.primitive_step,
                 "lattice_length": c.edge.lattice_length,
                 "e": c.e,
                 "d": c.d,
@@ -63,13 +63,8 @@ def report_json(report: BehrendReport) -> dict:
 
 
 def fan_json(fan: Fan) -> dict:
-    return {
-        "rays": [list(r) for r in fan.rays],
-        "cones": [
-            {"rays": [list(u) for u in cone.rays], "index": cone.index, "label": cone.label}
-            for cone in fan.cones
-        ],
-    }
+    cones = [{"rays": c.rays, "index": c.index, "label": c.label} for c in fan.cones]
+    return {"rays": fan.rays, "cones": cones}
 
 
 def dynkin_json(summary: TowerNuSummary) -> dict:
@@ -80,15 +75,15 @@ def dynkin_json(summary: TowerNuSummary) -> dict:
         "nodes": [
             {
                 "level": n.level,
-                "members": list(n.members),
-                "factors": [list(f) for f in n.factors],
+                "members": n.members,
+                "factors": n.factors,
                 "self_intersection": n.self_intersection,
                 "multiplicity": n.multiplicity,
                 "surviving": n.surviving,
             }
             for n in diagram.nodes
         ],
-        "edges": [list(e) for e in diagram.edges],
+        "edges": diagram.edges,
     }
 
 
@@ -170,12 +165,8 @@ def _run_command(args) -> int:
     if args.command == "factor":
         factors = factor_normal(elaborated.require_ideal())
         if as_json:
-            payload = {
-                "factors": [
-                    {"alpha": f.alpha, "beta": f.beta, "delta": f.delta} for f in factors
-                ]
-            }
-            print(_envelope("factorization", payload))
+            atoms = [{"alpha": f.alpha, "beta": f.beta, "delta": f.delta} for f in factors]
+            print(_envelope("factorization", {"factors": atoms}))
         else:
             print(factors_text(factors))
         return 0
@@ -192,7 +183,7 @@ def _run_command(args) -> int:
         if args.svg:
             _write_svg(args.svg, render.ferrers_svg(diagram))
         if as_json:
-            print(_envelope("ferrers", {"column_heights": list(diagram.column_heights)}))
+            print(_envelope("ferrers", {"column_heights": diagram.column_heights}))
         else:
             print(render.ferrers_text(diagram))
         return 0

@@ -140,7 +140,8 @@ class _Parser:
             self.advance()
             d = self.expect_int("an integer exponent")
             ideal = value.ideal**d if value.ideal is not None else None
-            factors = value.factors * d if value.factors is not None and d >= 1 else None
+            # from_factors lets only m repeat and fits fewer m than tokens: more copies add nothing
+            factors = None if value.factors is None else value.factors * min(d, len(self.tokens))
             value = Elaborated(ideal=ideal, factors=factors)
         return value
 

@@ -27,6 +27,7 @@ def run_json(capsys, *argv):
     assert code == 0, err
     payload = json.loads(out)
     validate(payload, SCHEMA)
+    assert out == json.dumps(payload) + "\n"  # one compact line, as the C encoder writes it
     return payload
 
 
@@ -184,6 +185,12 @@ class TestJsonKinds:
         ]
 
 
+REPEATED = (
+    "unsupported: repeated tower factor: powers scale nu linearly "
+    "(nu of I^d is d times nu of I), so compute the base product"
+)
+
+
 class TestExitCodes:
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "nu", "(x^2,,)")
@@ -222,6 +229,30 @@ class TestExitCodes:
             "* tower(y; g=0; exps=[1,2])",
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command,expr,code,expected",
+        [
+            # m^0 is the unit ideal, whose tower form is the empty product
+            ("nu", "m^0 * tower(x; g=y; exps=[2])", 0, "nu = 2"),
+            ("dynkin", "m^0", 2, "domain error: a tower product needs at least one factor"),
+            ("nu", "tower(x; g=y; exps=[2])^0", 2,
+             "domain error: a tower product needs at least one factor"),
+            ("nu", "m^0", 2, "domain error: the unit ideal does not define a fat point"),
+            # refused at the second copy, however large the exponent
+            ("dynkin", "tower(x; g=y; exps=[2])^99999999999999999999", 3, REPEATED),
+            ("dynkin", "tower(x; g=y; exps=[2])^9999999999", 3, REPEATED),
+            ("dynkin", "tower(x; g=y; exps=[2])^99999999", 3, REPEATED),
+        ],
+    )
+    def test_powers_of_towers(self, capsys, command, expr, code, expected):
+        # the answer's first line, or one line of stderr and no traceback
+        actual, out, err = run(capsys, command, expr)
+        assert actual == code
+        if code == 0:
+            assert out.splitlines()[0] == expected and err == ""
+        else:
+            assert err.splitlines() == [expected] and out == ""
 
 
 SVG_CASES = [
