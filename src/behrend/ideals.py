@@ -39,10 +39,22 @@ class MonomialIdeal:
     one is the pure y-power (0, b0) and the last the pure x-power (a0, 0).
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ("generators", "_polygon")
 
     def __init__(self, generators):
         object.__setattr__(self, "generators", minimal_generators(generators))
+        object.__setattr__(self, "_polygon", None)  # newton_polygon's memo
+
+    @classmethod
+    def _canonical(cls, generators, polygon) -> "MonomialIdeal":
+        """Trusted: gens minimal and sorted, polygon theirs (newton.closure_power)."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "generators", tuple(generators))
+        object.__setattr__(ideal, "_polygon", polygon)
+        return ideal
+
+    def __reduce__(self):
+        return (MonomialIdeal, (self.generators,))
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")

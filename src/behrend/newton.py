@@ -8,9 +8,12 @@ supporting lines, Pick's theorem for lattice counts).
 
 Only the polygon's vertices enter the computations, never a scan over the
 columns of the staircase: the closure's colength and normality cost
-O(#generators), the closure itself O(#output generators).  The definitional
-oracle is the one exception; it is a test oracle, decisive because
-p <= min(a0, b0) provably certifies every closure member.
+O(#generators), the closure itself O(#output generators).  Each ideal builds
+its polygon once and keeps it, and a closure is emitted canonical with its
+polygon i * Q_I attached, so nu, normal? and factor of n(a, b) cost one
+closure walk plus one staircase pass.  The definitional oracle is the one
+exception; it is a test oracle, decisive because p <= min(a0, b0) provably
+certifies every closure member.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
     first quadrant.  Monotone chain with integer cross products; collinear
     interior points are dropped, so the vertex list holds extreme points only.
     """
+    if ideal._polygon is not None:
+        return ideal._polygon
     if not ideal.is_finite_colength:
         raise DomainError(f"{ideal!r} does not have finite colength")
     chain: list[Exponent] = []
@@ -89,7 +94,9 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
                 inward_ray=(beta, alpha),
             )
         )
-    return NewtonPolygon(vertices=vertices, edges=tuple(edges))
+    polygon = NewtonPolygon(vertices=vertices, edges=tuple(edges))
+    object.__setattr__(ideal, "_polygon", polygon)
+    return polygon
 
 
 def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
@@ -98,26 +105,34 @@ def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
     Each scaled edge is walked along the shorter of its width and height.
     Over a steep edge every column carries a generator, the least b above
     the supporting line; over a flat edge every row carries one, the least
-    a to the right of it.  Both are exact ceilings, so the cost is
-    O(#output generators + #edges) and no rational hull is built.
+    a to the right of it.  Both are exact ceilings stepping by at least 1,
+    so walking by ascending a emits the generators canonical, in
+    O(#output generators + #edges), with no rational hull.
     """
     if i < 0:
         raise DomainError("negative powers are undefined")
     if i == 0:
         return UNIT_IDEAL
     polygon = newton_polygon(ideal)
-    gens = [(i * a, i * b) for a, b in polygon.vertices]
-    for edge in polygon.edges:
+    gens = []
+    for edge in reversed(polygon.edges):
         beta, alpha = edge.inward_ray
         value = i * edge.support_value
         (a_start, b_start), (a_end, b_end) = edge.start, edge.end
+        gens.append((i * a_end, i * b_end))
         if (a_start - a_end) <= (b_end - b_start):
-            for a in range(i * a_end + 1, i * a_start):
-                gens.append((a, -((beta * a - value) // alpha)))
+            columns = range(i * a_end + 1, i * a_start)
+            gens += [(a, -((beta * a - value) // alpha)) for a in columns]
         else:
-            for b in range(i * b_start + 1, i * b_end):
-                gens.append((-((alpha * b - value) // beta), b))
-    return MonomialIdeal(gens)
+            rows = range(i * b_end - 1, i * b_start, -1)
+            gens += [(-((alpha * b - value) // beta), b) for b in rows]
+    gens.append((i * polygon.vertices[0][0], i * polygon.vertices[0][1]))
+    if i > 1:  # same rays and primitive steps, i times longer
+        edges = [Edge((i * e.start[0], i * e.start[1]), (i * e.end[0], i * e.end[1]),
+                      e.primitive_step, i * e.lattice_length, e.inward_ray)
+                 for e in polygon.edges]
+        polygon = NewtonPolygon(tuple((i * a, i * b) for a, b in polygon.vertices), tuple(edges))
+    return MonomialIdeal._canonical(gens, polygon)
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from behrend import (
     complete_intersection,
     minimal_generators,
     n_ab,
+    newton_polygon,
 )
 
 
@@ -201,3 +205,25 @@ class TestFatPointGate:
         I = ideal((2, 0), (0, 2), (3, 3))
         J = ideal((0, 2), (2, 0))
         assert I == J and hash(I) == hash(J)
+
+
+class TestCopyAndPickle:
+    """Copies rebuild through the constructor; the polygon memo is not carried."""
+
+    ROUND_TRIPS = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda I: pickle.loads(pickle.dumps(I)),
+    }
+
+    @pytest.mark.parametrize("memo", ["unset", "hull", "closure"])
+    @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+    def test_round_trip(self, how, memo):
+        I = n_ab(4, 6) if memo == "closure" else ideal((4, 0), (3, 1), (1, 2), (0, 5))
+        if memo == "hull":
+            newton_polygon(I)
+        J = self.ROUND_TRIPS[how](I)
+        assert J == I and hash(J) == hash(I) and J.generators == I.generators
+        assert newton_polygon(J) == newton_polygon(I)
+        with pytest.raises(AttributeError):
+            J.generators = ()

@@ -13,6 +13,7 @@ from behrend import (
     complete_intersection,
     integral_closure,
     is_normal,
+    minimal_generators,
     n_ab,
     newton_polygon,
     staircase_conditions,
@@ -133,6 +134,30 @@ class TestClosure:
         assert is_normal(integral_closure(I) * integral_closure(J))
 
 
+class TestPolygonMemo:
+    def test_polygon_is_built_once(self):
+        I = ideal((6, 0), (4, 1), (2, 2), (1, 3), (0, 5))
+        assert newton_polygon(I) is newton_polygon(I)
+
+    def test_memo_is_not_identity(self):
+        I = ideal((4, 0), (3, 1), (1, 2), (0, 5))
+        J = ideal((0, 5), (1, 2), (3, 1), (4, 0))
+        newton_polygon(I)
+        assert I == J and hash(I) == hash(J)
+
+    def test_closure_is_canonical_with_its_scaled_polygon(self):
+        rng = random.Random(10)
+        for _ in range(250):
+            box = rng.randint(2, 30)
+            gens = [(rng.randint(1, box), 0), (0, rng.randint(1, box))]
+            gens += [(rng.randint(0, box), rng.randint(0, box)) for _ in range(rng.randint(0, 6))]
+            I = MonomialIdeal([g for g in gens if g != (0, 0)])
+            for i in (1, 2, 3, 7):
+                C = closure_power(I, i)
+                assert C.generators == minimal_generators(C.generators), (I, i)
+                assert newton_polygon(C) == newton_polygon(MonomialIdeal(C.generators)), (I, i)
+
+
 class TestDefinitionalOracle:
     def test_square(self):
         assert integral_closure_oracle(complete_intersection(2, 2)) == MAXIMAL_IDEAL**2
@@ -187,6 +212,16 @@ class TestNormality:
     def test_staircase_conditions_can_fail(self):
         # (x^2, y^2) misses the unit-step requirement near the axes
         assert not staircase_conditions(complete_intersection(2, 2))
+
+    def test_staircase_condition_three_rejects(self):
+        # only the cut k = 0 passes (1) and (2); b_1 = 5 > ceil((6 + 0) / 2) fails (3)
+        I = ideal((2, 0), (1, 5), (0, 6))
+        assert not is_normal(I) and not staircase_conditions(I)
+
+    def test_staircase_condition_four_rejects(self):
+        # only the cut k = 2 passes (1) and (2); a_1 = 4 > ceil((5 + 0) / 2) fails (4)
+        I = ideal((5, 0), (4, 1), (0, 2))
+        assert not is_normal(I) and not staircase_conditions(I)
 
 
 class TestPickLength:
