@@ -17,7 +17,6 @@ pinned against the independent tower engine by the verify module.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -53,13 +52,11 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
     """
     ideal.require_fat_point()
     components = []
-    gens = ideal.generators
     for edge in newton_polygon(ideal).edges:
         beta, alpha = edge.inward_ray
         e = edge.support_value
         d = 0
-        # both endpoints are generators, so the on-edge ones lie between them
-        for g in gens[bisect_left(gens, edge.end) : bisect_left(gens, edge.start) + 1]:
+        for g in ideal.generators:
             if beta * g[0] + alpha * g[1] == e:
                 d = gcd(d, edge.position_of(g))
         components.append(ComponentRecord(edge=edge, e=e, d=d))

@@ -8,10 +8,8 @@ from behrend import (
     DomainError,
     MonomialIdeal,
     UNIT_IDEAL,
-    closure_power,
     complete_intersection,
     component_count,
-    is_normal,
     n_ab,
     newton_polygon,
     nu_lci,
@@ -28,21 +26,6 @@ def random_fat_ideal(rng, box=8):
     gens = [(rng.randint(1, box), 0), (0, rng.randint(1, box))]
     gens += [(rng.randint(0, box), rng.randint(0, box)) for _ in range(3)]
     return MonomialIdeal([g for g in gens if g != (0, 0)])
-
-
-def reference_edge_data(I):
-    """(edge, e, d) of every edge with d taken over all generators, not only
-    those between the edge's endpoints."""
-    data = []
-    for edge in newton_polygon(I).edges:
-        beta, alpha = edge.inward_ray
-        e = min(beta * a + alpha * b for a, b in I.generators)
-        d = 0
-        for g in I.generators:
-            if beta * g[0] + alpha * g[1] == e:
-                d = gcd(d, edge.position_of(g))
-        data.append((edge, e, d))
-    return data
 
 
 def edge_data(I):
@@ -97,30 +80,6 @@ class TestEdgeData:
             I = random_fat_ideal(rng)
             for c in nu_monomial(I).components:
                 assert c.edge.lattice_length % c.d == 0
-
-
-class TestEdgeScan:
-    def test_matches_full_scan_on_sparse_edges(self):
-        # the lattice points of k * Q_J with some on-edge points dropped: the
-        # polygon keeps its vertices, each edge keeps a random subset
-        rng = random.Random(12)
-        crowded = coarse = 0
-        for _ in range(300):
-            full = closure_power(random_fat_ideal(rng, box=6), rng.randint(2, 4))
-            vertices = set(newton_polygon(full).vertices)
-            I = MonomialIdeal([g for g in full.generators if g in vertices or rng.random() < 0.5])
-            if is_normal(I):
-                continue
-            reference = reference_edge_data(I)
-            assert edge_data(I) == reference, I
-            assert nu_monomial(I).nu == sum(d * e for _, e, d in reference)
-            on_edge = [
-                sum(edge.inward_ray[0] * a + edge.inward_ray[1] * b == e for a, b in I.generators)
-                for edge, e, _ in reference
-            ]
-            crowded += min(on_edge) >= 3
-            coarse += any(d > 1 for _, _, d in reference)
-        assert crowded > 100 and coarse > 50
 
 
 class TestNuMonomial:
