@@ -56,10 +56,9 @@ from .towers import (
     tower_length,
     tower_nu,
     tower_times_m_power,
-    two_tower_length,
     two_tower_nu,
 )
-from .verify import Bounds, CheckResult, run_all
+from .verify import Bounds, CheckResult, run_all, two_tower_length
 
 __version__ = "0.1.0"
 

@@ -103,9 +103,7 @@ def _report_text(report: BehrendReport) -> str:
 
 
 def _summary_text(summary: TowerNuSummary) -> str:
-    lines = [f"nu = {summary.nu}"]
-    if summary.length is not None:
-        lines.append(f"length = {summary.length}")
+    lines = [f"nu = {summary.nu}", f"length = {summary.length}"]
     lines.append("nodes (level, multiplicity, surviving):")
     for node in summary.diagram.nodes:
         flag = "kept" if node.surviving else "contracted"

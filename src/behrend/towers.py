@@ -6,8 +6,8 @@ A tower is a product of curvilinear factors sharing one branch and tangent,
 and the blowups of products of towers, are governed by a rooted leveled tree
 whose nodes are exceptional curves.  The engine here builds that tree from
 tangent-agreement classes, computes the multiplicity of every curve from
-per-factor contributions, and sums the surviving multiplicities into the
-Behrend number.
+per-factor contributions, sums the surviving multiplicities into the
+Behrend number, and reads the length off the same tree (Hoskin-Deligne).
 
 Construction.  Two towers share the curve at level r >= 2 when both reach
 height r, lie on one branch and have tangents agreeing in every degree
@@ -207,17 +207,6 @@ def two_tower_nu(k1: Tower, k2: Tower) -> int:
     return nu1 + nu2 + (h1 + h2 - 2 * d) * d * (d + 1) // 2 + 2 * d * (h1 - d) * (h2 - d)
 
 
-def two_tower_length(kx: Tower, ky: Tower) -> int:
-    """Length of a product of two cross-branch complete towers: l1 + l2 + hx*hy."""
-    _require_complete(kx, "the two-tower length form")
-    _require_complete(ky, "the two-tower length form")
-    if kx.branch == ky.branch:
-        raise UnsupportedError("the length closed form needs cross-branch towers")
-    if kx.linear_coefficient() * ky.linear_coefficient() == 1:
-        raise UnsupportedError("the tangent directions coincide")
-    return tower_length(kx) + tower_length(ky) + kx.height * ky.height
-
-
 # -- products ----------------------------------------------------------------
 
 
@@ -394,6 +383,19 @@ class DynkinDiagram:
     def nu(self) -> int:
         return sum(n.multiplicity for n in self.nodes if n.surviving)
 
+    def length(self) -> int:
+        """Colength by Hoskin-Deligne: the sum of o(o+1)/2 over the nodes,
+        which are the infinitely near base points (Casas-Alvero,
+        Singularities of Plane Curves, ch. 8).  The weight o of a node
+        counts the factors attached at or below it, which is its
+        multiplicity less its parent's; every tangent is rational, so every
+        residue degree is 1."""
+        total = 0
+        for node, parent in zip(self.nodes, self.parents):
+            o = node.multiplicity - (self.nodes[parent].multiplicity if parent >= 0 else 0)
+            total += o * (o + 1) // 2
+        return total
+
 
 def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     """Build the leveled tree for a product of towers.
@@ -504,40 +506,26 @@ def _check_contraction_degrees(nodes, edges) -> None:
 
 @dataclass(frozen=True)
 class TowerNuSummary:
-    """Behrend number of a tower product with its diagram; the length is
-    filled in when an exact route exists (monomial expansion or a closed
-    form), and left None otherwise."""
+    """Behrend number and length of a tower product, with its diagram."""
 
     nu: int
-    length: int | None
+    length: int
     diagram: DynkinDiagram
 
 
 def product_length(product: TowerProduct) -> int:
-    """Length of a tower product by its one exact route: the staircase count
-    of a monomial expansion, the single-tower form, or the two-tower form of
-    a complete pair.  Raises UnsupportedError when none applies."""
+    """Length of a tower product: the closed form for a single tower, which
+    costs O(#exponents) however tall the tower, else DynkinDiagram.length."""
     towers = product.towers
-    if product.all_monomial:
-        return product.expand().colength()
     if len(towers) == 1:
         return tower_length(towers[0])
-    if len(towers) == 2 and product.all_complete:
-        return two_tower_length(*towers)
-    raise UnsupportedError(
-        "no exact length route for this product; only monomial products, "
-        "single towers and cross-branch complete pairs have one"
-    )
+    return build_dynkin(product).length()
 
 
 def noncomplete_product_nu(product: TowerProduct) -> TowerNuSummary:
-    """Behrend number of an arbitrary finite product of towers."""
+    """Behrend number and length of an arbitrary finite product of towers."""
     diagram = build_dynkin(product)
-    try:
-        length = product_length(product)
-    except UnsupportedError:
-        length = None
-    return TowerNuSummary(nu=diagram.nu(), length=length, diagram=diagram)
+    return TowerNuSummary(nu=diagram.nu(), length=diagram.length(), diagram=diagram)
 
 
 def product_nu(product: TowerProduct) -> TowerNuSummary:

@@ -17,6 +17,12 @@ quantity once; the second routes live here:
   nu/contraction-degrees     the diagram engine against pairwise_meet_nu
                              (meet levels of factor pairs), for the products
                              no other route covers
+  length/hoskin-deligne      the diagram's length (DynkinDiagram.length) on
+                             every product the two nu families above check,
+                             against the staircase of the monomial
+                             expansion, tower_length, two_tower_length for a
+                             complete cross pair, or else
+                             pairwise_meet_length (mixed multiplicities)
 
 Instances are generated from a seeded generator so failures reproduce;
 results are reported sorted by (name, instance).  Every check is decisive
@@ -48,6 +54,7 @@ from .nu import nu_lci, nu_monomial, nu_power_rule
 from .towers import (
     BRANCHES,
     Factor,
+    Tower,
     TowerProduct,
     difference_order,
     make_tower,
@@ -56,7 +63,6 @@ from .towers import (
     tower_length,
     tower_nu,
     tower_times_m_power,
-    two_tower_length,
     two_tower_nu,
 )
 
@@ -241,14 +247,12 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
     results = []
     for _ in range(bounds.tower_products):
         product = random_monomial_tower_product(rng, TOWER_EXPONENT_MAX)
-        expected = nu_monomial(product.expand()).nu
+        report = nu_monomial(product.expand())
+        summary = noncomplete_product_nu(product)
+        text = product_text(product)
+        results.append(CheckResult.compare("nu/dual-engine", text, report.nu, summary.nu))
         results.append(
-            CheckResult.compare(
-                "nu/dual-engine",
-                product_text(product),
-                expected,
-                noncomplete_product_nu(product).nu,
-            )
+            CheckResult.compare("length/hoskin-deligne", text, report.length, summary.length)
         )
     for _ in range(bounds.power_ideals):
         ideal = random_ideal(rng, RANDOM_BOX)
@@ -304,67 +308,109 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
             )
     for _ in range(bounds.tangent_products):
         product = random_tangent_tower_product(rng, TOWER_EXPONENT_MAX)
-        results.append(_diagram_result(product))
+        results.extend(_diagram_results(product))
     results.extend(check_pair_agreement(bounds))
     results.extend(check_m_power())
     return results
 
 
-def _diagram_result(product: TowerProduct) -> CheckResult:
-    """The diagram engine against an independent route for nu, if one exists.
+def _diagram_results(product: TowerProduct) -> list[CheckResult]:
+    """The diagram engine's nu and length against independent routes.
 
-    Monomial products go to the polygon engine; a single tower to its closed
-    form, which holds for its monomial model and so, by the shear, for it;
-    a complete pair to the two-tower form.  Every other product goes to
-    pairwise_meet_nu under nu/contraction-degrees, which also reports a
-    failed divisor-degree check of build_dynkin.
+    Monomial products go to the polygon engine and the staircase; a single
+    tower to its closed forms, which hold for its monomial model and so, by
+    the shear, for it; a complete pair to the two-tower forms (the length
+    form for cross pairs only).  What no closed form covers goes to
+    pairwise_meet_nu, under nu/contraction-degrees, and to
+    pairwise_meet_length.  A failed divisor-degree check of build_dynkin is
+    reported as one nu/contraction-degrees failure.
     """
     text = product_text(product)
     try:
-        nu = noncomplete_product_nu(product).nu
+        summary = noncomplete_product_nu(product)
     except AssertionError as error:
-        return CheckResult(
-            "nu/contraction-degrees", text, "consistent divisor degrees", str(error), "fail"
-        )
+        expected = "consistent divisor degrees"
+        return [CheckResult("nu/contraction-degrees", text, expected, str(error), "fail")]
     towers = product.towers
-    expected = None
+    nu = length = None
     if product.all_monomial:
-        expected = nu_monomial(product.expand()).nu
+        report = nu_monomial(product.expand())
+        nu, length = report.nu, report.length
     elif len(towers) == 1:
-        expected = tower_nu(towers[0])
+        nu, length = tower_nu(towers[0]), tower_length(towers[0])
     elif len(towers) == 2 and product.all_complete:
         try:
-            expected = two_tower_nu(*towers)
+            nu = two_tower_nu(*towers)
         except UnsupportedError:
             pass
-    if expected is None:
-        expected = pairwise_meet_nu(product)
-        return CheckResult.compare("nu/contraction-degrees", text, expected, nu)
-    return CheckResult.compare("nu/diagram-consistency", text, expected, nu)
+        if towers[0].branch != towers[1].branch:
+            length = two_tower_length(*towers)
+    nu_name = "nu/diagram-consistency"
+    if nu is None:
+        nu_name, nu = "nu/contraction-degrees", pairwise_meet_nu(product)
+    if length is None:
+        length = pairwise_meet_length(product)
+    return [
+        CheckResult.compare(nu_name, text, nu, summary.nu),
+        CheckResult.compare("length/hoskin-deligne", text, length, summary.length),
+    ]
+
+
+def two_tower_length(kx: Tower, ky: Tower) -> int:
+    """Length of a product of two cross-branch complete towers: l1 + l2 + hx*hy."""
+    if not (kx.is_complete and ky.is_complete):
+        raise UnsupportedError("the two-tower length form needs complete towers")
+    if kx.branch == ky.branch:
+        raise UnsupportedError("the length closed form needs cross-branch towers")
+    if kx.linear_coefficient() * ky.linear_coefficient() == 1:
+        raise UnsupportedError("the tangent directions coincide")
+    return tower_length(kx) + tower_length(ky) + kx.height * ky.height
+
+
+def _factor_depths(product: TowerProduct):
+    """The factors (i, k), tower and exponent, of a product, and the
+    agreement depths a_ij of its towers: difference_order on one branch, 1
+    across branches, unbounded for i = j.  Factors (i, k) and (j, l) meet at
+    level min(k, l, a_ij)."""
+    towers = product.towers
+    depth = [
+        [
+            float("inf") if i == j else difference_order(s, t) if s.branch == t.branch else 1
+            for j, t in enumerate(towers)
+        ]
+        for i, s in enumerate(towers)
+    ]
+    factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
+    return factors, depth
 
 
 def pairwise_meet_nu(product: TowerProduct) -> int:
     """nu of a tower product by the contribution rule, without the diagram.
 
-    Factors (i, k) and (j, l), tower and exponent, meet at level
-    min(k, l, a_ij) for the agreement depth a_ij: difference_order on one
-    branch, 1 across branches, unbounded for i = j.  They sit on one curve
-    when k == l <= a_ij; nu sums each curve's meet levels with every factor.
+    Two factors sit on one curve when they meet at their common exponent,
+    k == l <= a_ij; nu sums each curve's meet levels with every factor.
     """
-    towers = product.towers
-
-    def depth(i: int, j: int):
-        if i == j:
-            return float("inf")
-        same_branch = towers[i].branch == towers[j].branch
-        return difference_order(towers[i], towers[j]) if same_branch else 1
-
-    factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
+    factors, depth = _factor_depths(product)
     curves: list[tuple[int, int]] = []
     for i, k in factors:
-        if not any(l == k and k <= depth(i, j) for j, l in curves):
+        if not any(l == k <= depth[i][j] for j, l in curves):
             curves.append((i, k))
-    return sum(min(k, l, depth(i, j)) for i, k in curves for j, l in factors)
+    return sum(min(k, l, depth[i][j]) for i, k in curves for j, l in factors)
+
+
+def pairwise_meet_length(product: TowerProduct) -> int:
+    """Length of a tower product from the mixed multiplicities of its
+    curvilinear factors, without the diagram.
+
+    For complete ideals l(IJ) = l(I) + l(J) + e(I|J) (Huneke-Swanson,
+    Integral Closure of Ideals, Rings, and Modules, ch. 14).  The factor
+    (f) + m^k has length k, and two factors share as many base points, each
+    of weight 1, as the level at which they meet, so
+    l = sum of k + sum over factor pairs of min(k, l, a_ij).
+    """
+    factors, depth = _factor_depths(product)
+    pairs = combinations(factors, 2)
+    return sum(k for _, k in factors) + sum(min(k, l, depth[i][j]) for (i, k), (j, l) in pairs)
 
 
 def check_m_power() -> list[CheckResult]:
@@ -486,7 +532,7 @@ def run_all(seed: int = 0, bounds: Bounds | None = None) -> list[CheckResult]:
     results.extend(check_nu_cross(rng, bounds))
     results.extend(check_closure(rng, bounds))
     for _ in range(bounds.tangent_products // 5):
-        results.append(_diagram_result(random_complete_pair(rng)))
+        results.extend(_diagram_results(random_complete_pair(rng)))
     return sorted(results, key=lambda r: (r.name, r.instance))
 
 

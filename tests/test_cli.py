@@ -31,6 +31,9 @@ def run_json(capsys, *argv):
     return payload
 
 
+SAME_BRANCH_PAIR = "tower(x; g=y; exps=[2, 3]) * tower(x; g=2 y; exps=[1, 2])"
+
+
 class TestCommands:
     def test_nu_text(self, capsys):
         code, out, _ = run(capsys, "nu", "(x y, x^4, y^3)")
@@ -53,6 +56,27 @@ class TestCommands:
     def test_length_tower_closed_form(self, capsys):
         code, out, _ = run(capsys, "length", "tower(x; g = y; exps = [1, 2, 3])")
         assert code == 0 and out.strip() == "length = 10"
+
+    def test_length_three_towers(self, capsys):
+        # no closed form covers it; the diagram's length, checked against
+        # tests/test_towers.py::linear_algebra_length
+        code, out, err = run(
+            capsys,
+            "length",
+            "tower(x; g=y; exps=[1,2]) * tower(x; g=0; exps=[1,2]) "
+            "* tower(y; g=0; exps=[1,2])",
+        )
+        assert (code, out, err) == (0, "length = 24\n", "")
+
+    def test_length_same_branch_pair(self, capsys):
+        code, out, err = run(capsys, "length", SAME_BRANCH_PAIR)
+        assert (code, out, err) == (0, "length = 15\n", "")
+
+    def test_nu_carries_the_length(self, capsys):
+        code, out, _ = run(capsys, "nu", SAME_BRANCH_PAIR)
+        assert code == 0 and out.splitlines()[:2] == ["nu = 22", "length = 15"]
+        payload = run_json(capsys, "nu", SAME_BRANCH_PAIR)
+        assert payload["nu"] == 22 and payload["length"] == 15
 
     def test_normalize(self, capsys):
         code, out, _ = run(capsys, "normalize", "(x^2, y^3)")
@@ -219,15 +243,6 @@ class TestExitCodes:
 
     def test_unsupported_mix(self, capsys):
         code, _, err = run(capsys, "length", "(x^2, y^2) * tower(x; g=y; exps=[2])")
-        assert code == 3
-
-    def test_unsupported_length_route(self, capsys):
-        code, _, err = run(
-            capsys,
-            "length",
-            "tower(x; g=y; exps=[1,2]) * tower(x; g=0; exps=[1,2]) "
-            "* tower(y; g=0; exps=[1,2])",
-        )
         assert code == 3
 
     @pytest.mark.parametrize(

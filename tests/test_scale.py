@@ -20,6 +20,7 @@ WIDE = "(x^100000000, y^3)"
 N = 600_000_000
 FAMILY = f"(x^{N}, x^{N // 2} y^{N // 3}, y^{N + 1})"
 SPARSE = "tower(x; g=y; exps=[1, 10000])"  # a 10000-level chain, nu = H + 3
+TALL = "tower(x; g=y; exps=[1, 100000000])"  # its diagram would have 10^8 nodes
 
 
 def child_env() -> dict:
@@ -62,6 +63,11 @@ def test_sparse_tower_chain():
     assert behrend("nu", SPARSE).startswith("nu = 10003\n")
 
 
+def test_tall_single_tower_length():
+    # a single tower's length is its closed form, O(#exponents)
+    assert behrend("length", TALL) == "length = 100000002\n"
+
+
 def test_four_forked_towers():
     # distinct linear terms fork the tree at level 2; F is the factor count
     heights = [3000, 2999, 2997, 2994]
@@ -77,6 +83,10 @@ def test_four_forked_towers():
     payload = json.loads(behrend("nu", text, "--format", "json"))
     assert payload["nu"] == expected
     assert len(payload["nodes"]) == 1 + sum(h - 1 for h in heights)
+    # the towers' lengths plus one shared point for every pair of factors
+    # from two towers
+    lengths = sum(h * (h + 1) * (h + 2) // 6 for h in heights)
+    assert payload["length"] == lengths + (f * f - sum(h * h for h in heights)) // 2
 
 
 def test_closed_stdout_exits_quietly():

@@ -638,13 +638,14 @@ class TestNoncompleteProducts:
         gapped = TowerProduct([make_tower("x", (1,), (2, 5))])
         assert product_length(gapped) == noncomplete_product_nu(gapped).length == 2 + 7
         pair = TowerProduct([complete("x", 2, tangent=(1,)), complete("y", 3)])
-        assert product_length(pair) == 4 + 10 + 6
-        no_route = TowerProduct([complete("x", 2), complete("x", 3, tangent=(1,))])
-        with pytest.raises(UnsupportedError, match="no exact length route"):
-            product_length(TowerProduct([*no_route.towers, complete("y", 1)]))
-        with pytest.raises(UnsupportedError, match="cross-branch"):
-            product_length(no_route)
-        assert noncomplete_product_nu(no_route).length is None
+        assert product_length(pair) == noncomplete_product_nu(pair).length == 4 + 10 + 6
+        # a same-branch pair and a three-tower product, which no closed form
+        # covers, pinned by linear_algebra_length
+        same_branch = TowerProduct([complete("x", 2), complete("x", 3, tangent=(1,))])
+        three = TowerProduct([*same_branch.towers, complete("y", 1)])
+        for product, length in ((same_branch, 20), (three, 26)):
+            assert linear_algebra_length(product) == length
+            assert product_length(product) == noncomplete_product_nu(product).length == length
 
     def test_monomial_cross_oracle(self):
         rng = random.Random(29)
@@ -670,6 +671,97 @@ class TestNoncompleteProducts:
         )
         sheared = make_tower("x", (), (2,)).ideal() * make_tower("x", (), (1, 2, 3)).ideal()
         assert noncomplete_product_nu(product).nu == nu_monomial(sheared).nu
+
+
+def linear_algebra_length(product):
+    """dim R/m^N minus the rank of I modulo m^N, over Fraction, for
+    N = sum of the exponents + 1.
+
+    Every factor (x + g(y), y^k) contains m^k, so m^N lies in I and this is
+    the colength.  I modulo m^N is built factor by factor: an echelon basis
+    of J modulo m^N times the two generators of the next factor spans that
+    product modulo m^N.
+    """
+    n = sum(sum(t.exponents) for t in product.towers) + 1
+
+    def times(p, q):
+        out = {}
+        for (a, b), c in p.items():
+            for (d, e), f in q.items():
+                if a + b + d + e < n:
+                    out[a + d, b + e] = out.get((a + d, b + e), 0) + c * f
+        return out
+
+    def echelon(rows):
+        pivots = {}  # lowest-degree monomial of a row -> that row, scaled to 1 there
+        for row in rows:
+            row = {m: c for m, c in row.items() if c}
+            while row:
+                lead = min(row, key=lambda m: (m[0] + m[1], m))
+                c = row[lead]
+                if lead not in pivots:
+                    pivots[lead] = {m: v / c for m, v in row.items()}
+                    break
+                for m, v in pivots[lead].items():
+                    w = row.get(m, 0) - c * v
+                    if w:
+                        row[m] = w
+                    else:
+                        row.pop(m, None)
+        return list(pivots.values())
+
+    basis = [{(a, b): Fraction(1)} for a in range(n) for b in range(n - a)]
+    for tower in product.towers:
+        curve = {(1, 0): Fraction(1), **{(0, d): c for d, c in enumerate(tower.tangent, 1)}}
+        for k in tower.exponents:
+            gens = [curve, {(0, k): Fraction(1)}]
+            if tower.branch == "y":
+                gens = [{(b, a): c for (a, b), c in g.items()} for g in gens]
+            basis = echelon([times(v, g) for v in basis for g in gens])
+    return n * (n + 1) // 2 - len(basis)
+
+
+def needs_the_diagram(product):
+    """No staircase and no single- or two-tower closed form gives the length."""
+    towers = product.towers
+    cross_pair = (
+        len(towers) == 2 and product.all_complete and towers[0].branch != towers[1].branch
+    )
+    return not product.all_monomial and len(towers) > 1 and not cross_pair
+
+
+class TestHoskinDeligne:
+    def test_matches_linear_algebra(self):
+        # small tangent products: two or three draws, exponent sum <= 10
+        rng = random.Random(37)
+        products = []
+        while len(products) < 48:
+            factors = []
+            for _ in range(rng.randint(2, 3)):
+                branch = rng.choice("xy")
+                exps = sorted(rng.sample(range(1, 5), rng.randint(1, 2)))
+                degree = rng.randint(0, exps[-1] - 1)
+                tangent = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(degree)]
+                factors.extend(Factor(branch, tangent, e) for e in exps)
+            if sum(f.exponent for f in factors) > 10:
+                continue
+            try:
+                products.append(TowerProduct.from_factors(factors))
+            except UnsupportedError:
+                continue
+        assert sum(needs_the_diagram(p) for p in products) >= 20
+        for product in products:
+            expected = linear_algebra_length(product)
+            assert product_length(product) == expected
+            assert noncomplete_product_nu(product).length == expected
+
+    def test_linear_algebra_reference_on_monomial_products(self):
+        rng = random.Random(41)
+        products = [random_product(rng, max_height=4) for _ in range(40)]
+        monomial = [p for p in products if p.all_monomial]
+        assert len(monomial) >= 10
+        for product in monomial:
+            assert linear_algebra_length(product) == product.expand().colength()
 
 
 class TestTowerTimesMPower:

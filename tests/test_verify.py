@@ -14,11 +14,11 @@ from behrend import (
 from behrend.verify import (
     PRESETS,
     _closure_result,
-    _diagram_result,
+    _diagram_results,
     check_length_forms,
     check_closure,
-    check_nu_cross,
     check_pair_agreement,
+    pairwise_meet_length,
     pairwise_meet_nu,
     random_complete_pair,
     random_ideal,
@@ -46,6 +46,7 @@ PARENT_FAMILIES = {
     "nu/power-rule",
 }
 MOVED_FAMILIES = {
+    "length/hoskin-deligne",
     "length/m-power",
     "nu/complete-intersection",
     "nu/contraction-degrees",
@@ -150,6 +151,8 @@ def test_no_cross_check_vanishes():
         ("nu_lci", {"nu/complete-intersection"}),
         ("nu_power_rule", {"nu/power-rule"}),
         ("pairwise_meet_nu", {"nu/contraction-degrees"}),
+        ("two_tower_length", {"length/cross-pair", "length/hoskin-deligne"}),
+        ("pairwise_meet_length", {"length/hoskin-deligne"}),
     ],
 )
 def test_moved_identity_failures_are_reported(monkeypatch, target, families):
@@ -162,10 +165,31 @@ def test_moved_identity_failures_are_reported(monkeypatch, target, families):
         return tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
 
     monkeypatch.setattr(behrend.verify, target, off_by_one)
-    results = check_nu_cross(random.Random(0), PRESETS["quick"])
+    results = run_all(seed=0, bounds=PRESETS["quick"])
+
+    def routed(r):  # length/hoskin-deligne takes one of four routes per product
+        return (
+            r.name != "length/hoskin-deligne"
+            or length_route(parse(r.instance).require_towers()) == target
+        )
+
     for name in families:
-        reported = [r for r in results if r.name == name]
+        reported = [r for r in results if r.name == name and routed(r)]
         assert reported and all(r.status == "fail" for r in reported)
+    others = [r for r in results if r.name in families and not routed(r)]
+    assert all(r.status == "pass" for r in others)
+
+
+def length_route(product):
+    """The function that supplies the expected value of length/hoskin-deligne."""
+    towers = product.towers
+    if product.all_monomial:
+        return "nu_monomial"
+    if len(towers) == 1:
+        return "tower_length"
+    if len(towers) == 2 and product.all_complete and towers[0].branch != towers[1].branch:
+        return "two_tower_length"
+    return "pairwise_meet_length"
 
 
 def test_diagram_consistency_uses_independent_routes(monkeypatch):
@@ -176,7 +200,7 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
     products.append(  # random draws seldom hold a complete non-monomial pair
         TowerProduct([make_tower("x", (), (1, 2)), make_tower("x", (0, 1), (1, 2, 3))])
     )
-    results = [_diagram_result(p) for p in products]
+    results = [_diagram_results(p)[0] for p in products]
     checked = [r for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
     assert all(r.status == "pass" for r in checked)
     routed = [p for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
@@ -191,7 +215,7 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
         lambda product: replace(engine(product), nu=engine(product).nu + 1),
     )
     for p in routed:
-        assert _diagram_result(p).status == "fail"
+        assert _diagram_results(p)[0].status == "fail"
 
 
 def test_pairwise_meet_nu_matches_the_diagram():
@@ -204,6 +228,27 @@ def test_pairwise_meet_nu_matches_the_diagram():
             random_complete_pair(rng),
         ):
             assert pairwise_meet_nu(product) == build_dynkin(product).nu()
+
+
+def test_pairwise_meet_length_matches_the_diagram():
+    # the last route of length/hoskin-deligne, on every product generator
+    rng = random.Random(6)
+    for _ in range(100):
+        for product in (
+            random_monomial_tower_product(rng, 7),
+            random_tangent_tower_product(rng, 7),
+            random_complete_pair(rng),
+        ):
+            assert pairwise_meet_length(product) == build_dynkin(product).length()
+
+
+def test_every_diagram_product_gets_a_length_check():
+    results = run_all(seed=2, bounds=PRESETS["quick"])
+    nu_families = {"nu/dual-engine", "nu/diagram-consistency", "nu/contraction-degrees"}
+    products = sorted(r.instance for r in results if r.name in nu_families)
+    lengths = [r for r in results if r.name == "length/hoskin-deligne"]
+    assert sorted(r.instance for r in lengths) == products
+    assert all(r.status == "pass" and isinstance(r.actual, int) for r in lengths)
 
 
 def test_contraction_degrees_compares_two_integers():
@@ -223,7 +268,8 @@ def test_contraction_check_failure_is_reported(monkeypatch):
 
     monkeypatch.setattr(behrend.towers, "_check_contraction_degrees", broken)
     rng = random.Random(0)
-    results = [_diagram_result(random_tangent_tower_product(rng, 7)) for _ in range(10)]
+    products = [random_tangent_tower_product(rng, 7) for _ in range(10)]
+    results = [r for p in products for r in _diagram_results(p)]
     assert all(
         r.name == "nu/contraction-degrees" and r.status == "fail" for r in results
     )
