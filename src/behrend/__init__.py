@@ -24,7 +24,6 @@ from .newton import (
     integral_closure,
     is_normal,
     newton_polygon,
-    staircase_conditions,
 )
 from .normal_factor import (
     Cone,
@@ -35,13 +34,7 @@ from .normal_factor import (
     fan_of,
     n_ab,
 )
-from .nu import (
-    BehrendReport,
-    ComponentRecord,
-    nu_lci,
-    nu_monomial,
-    nu_power_rule,
-)
+from .nu import BehrendReport, ComponentRecord, nu_monomial
 from .towers import (
     DynkinDiagram,
     DynkinNode,
@@ -52,13 +45,21 @@ from .towers import (
     build_dynkin,
     make_tower,
     noncomplete_product_nu,
-    product_nu,
     tower_length,
+)
+from .verify import (
+    Bounds,
+    CheckResult,
+    nu_lci,
+    nu_power_rule,
+    product_nu,
+    run_all,
+    staircase_conditions,
     tower_nu,
     tower_times_m_power,
+    two_tower_length,
     two_tower_nu,
 )
-from .verify import Bounds, CheckResult, run_all, two_tower_length
 
 __version__ = "0.1.0"
 

@@ -19,7 +19,6 @@ tower with a raw generator list has neither form and is rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Elaborated:
+class Elaborated(NamedTuple):
     """The two elaborations of an expression; either may be missing.
 
     factors is the tower form: each tower literal whole, as one Tower, and
@@ -294,21 +292,18 @@ def parse(text: str) -> Elaborated:
 # -- printers -----------------------------------------------------------------
 
 
-def monomial_text(exponent) -> str:
-    a, b = exponent
-    if a == 0 and b == 0:
-        return "1"
-    parts = []
-    if a:
-        parts.append("x" if a == 1 else f"x^{a}")
-    if b:
-        parts.append("y" if b == 1 else f"y^{b}")
-    return " ".join(parts)
-
-
 def ideal_text(ideal: MonomialIdeal) -> str:
-    """Canonical text form, generators by descending x-exponent."""
-    return "(" + ", ".join(monomial_text(g) for g in reversed(ideal.generators)) + ")"
+    """Canonical text form, generators by descending x-exponent, in one
+    pass: closures can print tens of thousands of generators."""
+    parts = []
+    for a, b in reversed(ideal.generators):
+        if a > 1 and b > 1:  # the bulk of a large ideal, in one format
+            parts.append(f"x^{a} y^{b}")
+        else:
+            x = "" if a == 0 else "x" if a == 1 else f"x^{a}"
+            y = "" if b == 0 else "y" if b == 1 else f"y^{b}"
+            parts.append(f"{x} {y}" if x and y else x or y or "1")
+    return "(" + ", ".join(parts) + ")"
 
 
 def factors_text(factors) -> str:

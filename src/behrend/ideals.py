@@ -7,7 +7,7 @@ structural.  All exponents are plain Python integers, so nothing overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -169,18 +169,22 @@ class MonomialIdeal:
         return FerrersDiagram(tuple(self.column_heights()))
 
 
-@dataclass(frozen=True)
-class FerrersDiagram:
-    """Weakly decreasing column heights of a finite staircase complement."""
-
+class _Heights(NamedTuple):
     column_heights: tuple[int, ...]
 
-    def __post_init__(self):
-        h = self.column_heights
+
+class FerrersDiagram(_Heights):
+    """Weakly decreasing column heights of a finite staircase complement."""
+
+    __slots__ = ()
+
+    def __new__(cls, column_heights):
+        h = column_heights
         if any(h[i] < h[i + 1] for i in range(len(h) - 1)):
             raise DomainError("column heights must be weakly decreasing")
         if h and h[-1] <= 0:
             raise DomainError("column heights must be positive")
+        return super().__new__(cls, column_heights)
 
 
 UNIT_IDEAL = MonomialIdeal([(0, 0)])

@@ -11,22 +11,21 @@ columns of the staircase: the closure's colength and normality cost
 O(#generators), the closure itself O(#output generators).  Each ideal builds
 its polygon once and keeps it, and a closure is emitted canonical with its
 polygon i * Q_I attached, so nu, normal? and factor of n(a, b) cost one
-closure walk plus one staircase pass.  The definitional oracle is the one
-exception; it is a test oracle, decisive because p <= min(a0, b0) provably
-certifies every closure member.
+closure walk plus one staircase pass.  The second routes that verify checks
+these against, the definitional closure oracle and the staircase shape
+conditions of normal ideals, live in verify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .ideals import UNIT_IDEAL, Exponent, MonomialIdeal
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One bounded edge of the polygon boundary, walked from larger to smaller a.
 
     end - start = lattice_length * primitive_step with primitive_step = (-alpha, beta),
@@ -50,8 +49,7 @@ class Edge:
         return (self.start[0] - point[0]) // (-self.primitive_step[0])
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Vertices v0..vt ordered by strictly decreasing a (v0 on the x-axis),
     plus the bounded edges between consecutive vertices (slopes strictly
     decreasing along that order)."""
@@ -168,64 +166,3 @@ def is_normal(ideal: MonomialIdeal) -> bool:
     colengths are: a comparison of two O(#generators) counts.
     """
     return ideal.colength() == closure_colength(ideal)
-
-
-def integral_closure_oracle(ideal: MonomialIdeal) -> MonomialIdeal:
-    """Definitional closure: accept x^m iff (x^m)^p lies in I^p for some
-    p <= min(a0, b0), or p = 1 for the unit ideal.
-
-    Test oracle only, independent of the polygon route; the bound makes it
-    decisive.  A closure member m that dominates a vertex needs p = 1.
-    Otherwise m lies above an edge from vertex u to vertex v, of width
-    w = u_x - v_x <= a0.  With the integer s = u_x - m_x, w m dominates
-    (w - s) u + s v, a sum of w generators, so (x^m)^w lies in I^w.  The
-    same argument on the edge to the left of m gives that edge's height,
-    at most b0; so some p <= min(a0, b0) certifies m.
-    """
-    ideal._require_finite()
-    bound = max(1, min(ideal.x_power, ideal.y_power))
-    powers = [None, ideal]
-    for _ in range(bound - 1):
-        powers.append(powers[-1] * ideal)
-    accepted = []
-    for a in range(ideal.x_power + 1):
-        for b in range(ideal.y_power + 1):
-            if any((p * a, p * b) in powers[p] for p in range(1, bound + 1)):
-                accepted.append((a, b))
-                break  # larger b in this column is divisible anyway
-    return MonomialIdeal(accepted)
-
-
-def staircase_conditions(ideal: MonomialIdeal) -> bool:
-    """Necessary shape conditions on the minimal staircase of a normal ideal.
-
-    With generators sorted as x^{a_0}, x^{a_1}y^{b_{n-1}}, ..., y^{b_0}
-    (a_i and b_i strictly decreasing, a_n = b_n = 0), some cut 0 <= k <= n
-    must satisfy:
-      (1) a_i = n - i for i = k..n,
-      (2) b_{n-i} = i for i = 0..k,
-      (3) b_i <= ceil((b_{i-1} + b_{i+1}) / 2) for i = 1..n-k-1,
-      (4) a_i <= ceil((a_{i-1} + a_{i+1}) / 2) for i = 1..k-1.
-    Every normal ideal passes; the converse does not hold.
-    """
-    ideal.require_fat_point()
-    gens = tuple(reversed(ideal.generators))  # a descending
-    n = len(gens) - 1
-    a = [g[0] for g in gens]
-    c = [g[1] for g in gens]  # c[i] = b_{n-i}
-    b = list(reversed(c))
-
-    def ceil_half(x: int, y: int) -> int:
-        return (x + y + 1) // 2
-
-    for k in range(n + 1):
-        if any(a[i] != n - i for i in range(k, n + 1)):
-            continue
-        if any(c[i] != i for i in range(k + 1)):
-            continue
-        if any(b[i] > ceil_half(b[i - 1], b[i + 1]) for i in range(1, n - k)):
-            continue
-        if any(a[i] > ceil_half(a[i - 1], a[i + 1]) for i in range(1, k)):
-            continue
-        return True
-    return False

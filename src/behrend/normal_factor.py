@@ -9,27 +9,31 @@ alpha*e2 of those factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, complete_intersection
 from .newton import integral_closure, is_normal, newton_polygon
 
 
-@dataclass(frozen=True)
-class NabFactor:
-    """One atom n_{alpha,beta} with multiplicity delta; gcd(alpha, beta) = 1."""
-
+class _Atom(NamedTuple):
     alpha: int
     beta: int
     delta: int
 
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1 or self.delta < 1:
+
+class NabFactor(_Atom):
+    """One atom n_{alpha,beta} with multiplicity delta; gcd(alpha, beta) = 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, delta):
+        if alpha < 1 or beta < 1 or delta < 1:
             raise DomainError("factor data must be positive")
-        if gcd(self.alpha, self.beta) != 1:
+        if gcd(alpha, beta) != 1:
             raise DomainError("alpha and beta must be coprime")
+        return super().__new__(cls, alpha, beta, delta)
 
     @property
     def ray(self) -> tuple[int, int]:
@@ -62,8 +66,7 @@ def factor_normal(ideal: MonomialIdeal) -> tuple[NabFactor, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A maximal cone of the fan, spanned by two consecutive rays."""
 
     rays: tuple[tuple[int, int], tuple[int, int]]
@@ -71,8 +74,7 @@ class Cone:
     label: str  # "smooth", "A_n", or "index d"
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Complete fan of the first quadrant: rays from e1 to e2 by increasing slope."""
 
     rays: tuple[tuple[int, int], ...]

@@ -12,21 +12,20 @@ edge), two integers are extracted from the generators of I:
 
 The Behrend number is the sum of d*e over the edges.  The gcd rule for d is
 empirical: it reproduces every reference value in the test suite and is
-pinned against the independent tower engine by the verify module.
+pinned against the independent tower engine by the verify module, which
+also holds the closed forms nu_lci and nu_power_rule checked against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
-from .errors import DomainError
 from .ideals import MonomialIdeal
 from .newton import Edge, is_normal, newton_polygon
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple):
     """Per-edge data of the normalization component lying over it."""
 
     edge: Edge
@@ -34,8 +33,7 @@ class ComponentRecord:
     d: int
 
 
-@dataclass(frozen=True)
-class BehrendReport:
+class BehrendReport(NamedTuple):
     nu: int
     length: int
     components: tuple[ComponentRecord, ...]
@@ -66,21 +64,3 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
         components=tuple(components),
         normal=is_normal(ideal),
     )
-
-
-def nu_power_rule(ideal: MonomialIdeal, d: int) -> int:
-    """nu(I^d) = d * nu(I); verify's nu/power-rule compares it with the edge
-    formula on I^d."""
-    if d < 1:
-        raise DomainError("the power rule needs d >= 1")
-    return d * nu_monomial(ideal).nu
-
-
-def nu_lci(a: int, b: int) -> int:
-    """nu of the complete intersection (x^a, y^b): equals the length a*b.
-
-    verify's nu/complete-intersection compares it with the edge formula.
-    """
-    if a < 1 or b < 1:
-        raise DomainError("exponents must be positive")
-    return a * b

@@ -32,14 +32,17 @@ of the deepest common ancestor of c and c_I (a node counts as its own
 ancestor).  On trees whose only fork is at the root this reduces to the
 familiar min(i, j) / constant-1 pattern; on deeper forks it is the value the
 iterated-blowup order computation actually produces.
+
+The closed forms checked against the engine (tower_nu, two_tower_nu,
+two_tower_length, tower_times_m_power) live in verify.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
 from .ideals import MonomialIdeal
@@ -54,8 +57,7 @@ def _as_coefficients(tangent) -> tuple[Fraction, ...]:
     return coeffs
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Validated tower; build through make_tower.
 
     tangent holds the coefficients of g at degrees 1, 2, ... with trailing
@@ -127,17 +129,6 @@ def tower_length(tower: Tower) -> int:
     return sum(partial)
 
 
-def tower_nu(tower: Tower) -> int:
-    """Behrend number: length + sum_{j<s} i_j (s - j).
-
-    This equals sum_{k,l} min(i_k, i_l); verify's nu/tower-min-sum checks
-    the identity.
-    """
-    exps = tower.exponents
-    s = len(exps)
-    return tower_length(tower) + sum(exps[j] * (s - 1 - j) for j in range(s - 1))
-
-
 def difference_order(t1: Tower, t2: Tower):
     """o(g1 - g2) for two same-branch towers; None when the tangents agree."""
     g1, g2 = t1.tangent, t2.tangent
@@ -167,51 +158,10 @@ def _compare_tangents(t1: Tower, t2: Tower) -> int:
     return -1 if _coefficient(t1, d) < _coefficient(t2, d) else 1
 
 
-def _require_complete(tower: Tower, what: str):
-    if not tower.is_complete:
-        raise UnsupportedError(f"{what} needs complete towers; use noncomplete_product_nu")
-
-
-def two_tower_nu(k1: Tower, k2: Tower) -> int:
-    """Closed form for the Behrend number of a product of two complete towers.
-
-    With d the tangent-agreement depth (d = 1 for distinct-direction
-    cross-branch pairs, d = o(g1 - g2) for same-branch pairs, d <= min of the
-    heights), the blowup tree is a shared chain of d nodes forking into two
-    arms, and summing the ancestor-level contributions gives
-
-        nu = nu1 + nu2 + (h1 + h2 - 2d) * d(d+1)/2 + 2d (h1 - d)(h2 - d).
-
-    For d = 1 this is nu1 + nu2 + 2 h1 h2 - h1 - h2.
-    """
-    _require_complete(k1, "the two-tower closed form")
-    _require_complete(k2, "the two-tower closed form")
-    h1, h2 = k1.height, k2.height
-    if k1.branch != k2.branch:
-        if k1.linear_coefficient() * k2.linear_coefficient() == 1:
-            raise UnsupportedError(
-                "the tangent directions coincide; after a linear change of "
-                "variables this is a same-branch pair"
-            )
-        d = 1
-    else:
-        d = difference_order(k1, k2)
-        if d is None:
-            raise UnsupportedError("identical towers form a power; use nu_power_rule")
-        if d > min(h1, h2):
-            raise UnsupportedError(
-                "tangents agree beyond the smaller height; no two-tower closed "
-                "form applies, use the diagram engine"
-            )
-    nu1, nu2 = tower_nu(k1), tower_nu(k2)
-    return nu1 + nu2 + (h1 + h2 - 2 * d) * d * (d + 1) // 2 + 2 * d * (h1 - d) * (h2 - d)
-
-
 # -- products ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """A single curvilinear factor (f) + m^exponent.
 
     branch None marks a bare maximal-ideal factor (exponent 1, any f); such
@@ -357,8 +307,7 @@ def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:
     return [tuple(sorted(run)) for run in runs]
 
 
-@dataclass(frozen=True)
-class DynkinNode:
+class DynkinNode(NamedTuple):
     """One exceptional curve: its level, tangent-agreement class, attached
     original factors, self-intersection, multiplicity and survival flag."""
 
@@ -371,8 +320,7 @@ class DynkinNode:
     surviving: bool
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Rooted leveled tree of exceptional curves of a tower-product blowup;
     nodes[0] is the root."""
 
@@ -504,8 +452,7 @@ def _check_contraction_degrees(nodes, edges) -> None:
             )
 
 
-@dataclass(frozen=True)
-class TowerNuSummary:
+class TowerNuSummary(NamedTuple):
     """Behrend number and length of a tower product, with its diagram."""
 
     nu: int
@@ -526,36 +473,3 @@ def noncomplete_product_nu(product: TowerProduct) -> TowerNuSummary:
     """Behrend number and length of an arbitrary finite product of towers."""
     diagram = build_dynkin(product)
     return TowerNuSummary(nu=diagram.nu(), length=diagram.length(), diagram=diagram)
-
-
-def product_nu(product: TowerProduct) -> TowerNuSummary:
-    """Behrend number of a product of complete towers.
-
-    verify compares it with the single-tower and two-tower closed forms
-    (nu/diagram-consistency, nu/pair-agreement).
-    """
-    for t in product.towers:
-        _require_complete(t, "product_nu")
-    return noncomplete_product_nu(product)
-
-
-def tower_times_m_power(tower: Tower, n: int) -> tuple[int, int]:
-    """Length and Behrend number of K * m^n for a monomial tower K with i_1 > 1.
-
-        length(K m^n) = length(K) + (n(n+1) + 2 n s) / 2
-        nu(K m^n)     = nu(K) + s n + n + s
-
-    n = 0 degenerates to (length, nu) of the tower itself.  verify's
-    length/m-power and nu/m-power compare both values with the staircase
-    count and the edge formula on the expanded monomial ideal.
-    """
-    if not tower.is_monomial:
-        raise UnsupportedError("the m-power closed form needs a monomial tower")
-    if tower.exponents[0] == 1:
-        raise DomainError("the m-power closed form needs i_1 > 1")
-    if n < 0:
-        raise DomainError("m-power must be nonnegative")
-    s = len(tower.exponents)
-    length = tower_length(tower) + (n * (n + 1) + 2 * n * s) // 2
-    nu = tower_nu(tower) + s * n + n + s if n > 0 else tower_nu(tower)
-    return length, nu

@@ -4,71 +4,71 @@ Every closed form in the package is checked here against an independent
 route: staircase counts against length formulas, the Newton-polygon Behrend
 number against the tower diagram engine, the polygon integral closure
 against the definitional power membership test.  The library computes each
-quantity once; the second routes live here:
+quantity once; the second routes live here, together with the closed forms
+and oracles that only these checks call:
 
   nu/tower-min-sum           tower_nu against sum_{k,l} min(i_k, i_l)
   nu/complete-intersection   nu_lci against the edge formula
   nu/power-rule              d * nu(I) (nu_power_rule) against nu(I^d)
   length/m-power, nu/m-power tower_times_m_power against the expansion
+  length/cross-pair          two_tower_length against the staircase
   nu/diagram-consistency     the diagram engine against the polygon engine,
                              the single-tower form (by the shear onto the
-                             monomial model) or the two-tower form
-  nu/pair-agreement          product_nu against the two-tower form
+                             monomial model) or two_tower_nu
+  nu/pair-agreement          product_nu against two_tower_nu
   nu/contraction-degrees     the diagram engine against pairwise_meet_nu
                              (meet levels of factor pairs), for the products
                              no other route covers
   length/hoskin-deligne      the diagram's length (DynkinDiagram.length) on
-                             every product the two nu families above check,
-                             against the staircase of the monomial
-                             expansion, tower_length, two_tower_length for a
-                             complete cross pair, or else
-                             pairwise_meet_length (mixed multiplicities)
+                             every product that nu/dual-engine and the two
+                             families above check, against the staircase of
+                             the monomial expansion, tower_length,
+                             two_tower_length for a complete cross pair, or
+                             else pairwise_meet_length (mixed multiplicities)
+  closure/definitional       integral_closure against integral_closure_oracle
+  closure/normal-staircase-conditions
+                             staircase_conditions on every normal ideal drawn
+
+The other families compare library routes with each other or with a
+textbook closed form, such as lcm(a, b) for nu of n(a, b).
 
 Instances are generated from a seeded generator so failures reproduce;
 results are reported sorted by (name, instance).  Every check is decisive
 ("pass" or "fail"): the definitional closure oracle's bound p <= min(a0, b0)
-is proven (see newton.integral_closure_oracle).  Complete non-monomial tower
-pairs get draws of their own, so the two-tower route runs on every seed.
+is proven (see integral_closure_oracle).  The oracle scans the box
+[0, a0] x [0, b0] against up to min(a0, b0) powers of I, so it is a test
+oracle only; the library's closure walks the polygon.  Complete non-monomial
+tower pairs get draws of their own, so the two-tower route runs on every seed.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
 from .expr import ideal_text, product_text, tower_text
 from .ideals import MAXIMAL_IDEAL, MonomialIdeal, complete_intersection
-from .newton import (
-    closure_colength,
-    integral_closure,
-    integral_closure_oracle,
-    is_normal,
-    staircase_conditions,
-)
+from .newton import closure_colength, integral_closure, is_normal
 from .normal_factor import n_ab
-from .nu import nu_lci, nu_monomial, nu_power_rule
+from .nu import nu_monomial
 from .towers import (
     BRANCHES,
     Factor,
     Tower,
+    TowerNuSummary,
     TowerProduct,
     difference_order,
     make_tower,
     noncomplete_product_nu,
-    product_nu,
     tower_length,
-    tower_nu,
-    tower_times_m_power,
-    two_tower_nu,
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     instance: str
     expected: object
@@ -90,8 +90,7 @@ CROSS_HEIGHT_MAX = 6
 RANDOM_BOX = 8
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(NamedTuple):
     """Instance counts and grid sizes on which the presets differ."""
 
     name: str
@@ -119,6 +118,182 @@ PRESETS = {
         balanced_pair_max=6,
     ),
 }
+
+
+# -- second routes: closed forms and oracles that only the checks call -------
+
+
+def nu_lci(a: int, b: int) -> int:
+    """nu of the complete intersection (x^a, y^b): equals the length a*b.
+
+    nu/complete-intersection compares it with the edge formula.
+    """
+    if a < 1 or b < 1:
+        raise DomainError("exponents must be positive")
+    return a * b
+
+
+def nu_power_rule(ideal: MonomialIdeal, d: int) -> int:
+    """nu(I^d) = d * nu(I); nu/power-rule compares it with the edge formula
+    on I^d."""
+    if d < 1:
+        raise DomainError("the power rule needs d >= 1")
+    return d * nu_monomial(ideal).nu
+
+
+def tower_nu(tower: Tower) -> int:
+    """Behrend number: length + sum_{j<s} i_j (s - j).
+
+    This equals sum_{k,l} min(i_k, i_l); nu/tower-min-sum checks the
+    identity.
+    """
+    exps = tower.exponents
+    s = len(exps)
+    return tower_length(tower) + sum(exps[j] * (s - 1 - j) for j in range(s - 1))
+
+
+def _require_complete(tower: Tower, what: str):
+    if not tower.is_complete:
+        raise UnsupportedError(f"{what} needs complete towers; use noncomplete_product_nu")
+
+
+def two_tower_nu(k1: Tower, k2: Tower) -> int:
+    """Closed form for the Behrend number of a product of two complete towers.
+
+    With d the tangent-agreement depth (d = 1 for distinct-direction
+    cross-branch pairs, d = o(g1 - g2) for same-branch pairs, d <= min of the
+    heights), the blowup tree is a shared chain of d nodes forking into two
+    arms, and summing the ancestor-level contributions gives
+
+        nu = nu1 + nu2 + (h1 + h2 - 2d) * d(d+1)/2 + 2d (h1 - d)(h2 - d).
+
+    For d = 1 this is nu1 + nu2 + 2 h1 h2 - h1 - h2.
+    """
+    _require_complete(k1, "the two-tower closed form")
+    _require_complete(k2, "the two-tower closed form")
+    h1, h2 = k1.height, k2.height
+    if k1.branch != k2.branch:
+        if k1.linear_coefficient() * k2.linear_coefficient() == 1:
+            raise UnsupportedError(
+                "the tangent directions coincide; after a linear change of "
+                "variables this is a same-branch pair"
+            )
+        d = 1
+    else:
+        d = difference_order(k1, k2)
+        if d is None:
+            raise UnsupportedError("identical towers form a power; use nu_power_rule")
+        if d > min(h1, h2):
+            raise UnsupportedError(
+                "tangents agree beyond the smaller height; no two-tower closed "
+                "form applies, use the diagram engine"
+            )
+    nu1, nu2 = tower_nu(k1), tower_nu(k2)
+    return nu1 + nu2 + (h1 + h2 - 2 * d) * d * (d + 1) // 2 + 2 * d * (h1 - d) * (h2 - d)
+
+
+def two_tower_length(kx: Tower, ky: Tower) -> int:
+    """Length of a product of two cross-branch complete towers: l1 + l2 + hx*hy."""
+    if not (kx.is_complete and ky.is_complete):
+        raise UnsupportedError("the two-tower length form needs complete towers")
+    if kx.branch == ky.branch:
+        raise UnsupportedError("the length closed form needs cross-branch towers")
+    if kx.linear_coefficient() * ky.linear_coefficient() == 1:
+        raise UnsupportedError("the tangent directions coincide")
+    return tower_length(kx) + tower_length(ky) + kx.height * ky.height
+
+
+def product_nu(product: TowerProduct) -> TowerNuSummary:
+    """Behrend number of a product of complete towers.
+
+    nu/pair-agreement compares it with the two-tower closed form.
+    """
+    for t in product.towers:
+        _require_complete(t, "product_nu")
+    return noncomplete_product_nu(product)
+
+
+def tower_times_m_power(tower: Tower, n: int) -> tuple[int, int]:
+    """Length and Behrend number of K * m^n for a monomial tower K with i_1 > 1.
+
+        length(K m^n) = length(K) + (n(n+1) + 2 n s) / 2
+        nu(K m^n)     = nu(K) + s n + n + s
+
+    n = 0 degenerates to (length, nu) of the tower itself.  length/m-power
+    and nu/m-power compare both values with the staircase count and the
+    edge formula on the expanded monomial ideal.
+    """
+    if not tower.is_monomial:
+        raise UnsupportedError("the m-power closed form needs a monomial tower")
+    if tower.exponents[0] == 1:
+        raise DomainError("the m-power closed form needs i_1 > 1")
+    if n < 0:
+        raise DomainError("m-power must be nonnegative")
+    s = len(tower.exponents)
+    length = tower_length(tower) + (n * (n + 1) + 2 * n * s) // 2
+    nu = tower_nu(tower) + s * n + n + s if n > 0 else tower_nu(tower)
+    return length, nu
+
+
+def integral_closure_oracle(ideal: MonomialIdeal) -> MonomialIdeal:
+    """Definitional closure: accept x^m iff (x^m)^p lies in I^p for some
+    p <= min(a0, b0), or p = 1 for the unit ideal.
+
+    Test oracle only, independent of the polygon route; the bound makes it
+    decisive.  A closure member m that dominates a vertex needs p = 1.
+    Otherwise m lies above an edge from vertex u to vertex v, of width
+    w = u_x - v_x <= a0.  With the integer s = u_x - m_x, w m dominates
+    (w - s) u + s v, a sum of w generators, so (x^m)^w lies in I^w.  The
+    same argument on the edge to the left of m gives that edge's height,
+    at most b0; so some p <= min(a0, b0) certifies m.
+    """
+    ideal._require_finite()
+    bound = max(1, min(ideal.x_power, ideal.y_power))
+    powers = [None, ideal]
+    for _ in range(bound - 1):
+        powers.append(powers[-1] * ideal)
+    accepted = []
+    for a in range(ideal.x_power + 1):
+        for b in range(ideal.y_power + 1):
+            if any((p * a, p * b) in powers[p] for p in range(1, bound + 1)):
+                accepted.append((a, b))
+                break  # larger b in this column is divisible anyway
+    return MonomialIdeal(accepted)
+
+
+def staircase_conditions(ideal: MonomialIdeal) -> bool:
+    """Necessary shape conditions on the minimal staircase of a normal ideal.
+
+    With generators sorted as x^{a_0}, x^{a_1}y^{b_{n-1}}, ..., y^{b_0}
+    (a_i and b_i strictly decreasing, a_n = b_n = 0), some cut 0 <= k <= n
+    must satisfy:
+      (1) a_i = n - i for i = k..n,
+      (2) b_{n-i} = i for i = 0..k,
+      (3) b_i <= ceil((b_{i-1} + b_{i+1}) / 2) for i = 1..n-k-1,
+      (4) a_i <= ceil((a_{i-1} + a_{i+1}) / 2) for i = 1..k-1.
+    Every normal ideal passes; the converse does not hold.
+    """
+    ideal.require_fat_point()
+    gens = tuple(reversed(ideal.generators))  # a descending
+    n = len(gens) - 1
+    a = [g[0] for g in gens]
+    c = [g[1] for g in gens]  # c[i] = b_{n-i}
+    b = list(reversed(c))
+
+    def ceil_half(x: int, y: int) -> int:
+        return (x + y + 1) // 2
+
+    for k in range(n + 1):
+        if any(a[i] != n - i for i in range(k, n + 1)):
+            continue
+        if any(c[i] != i for i in range(k + 1)):
+            continue
+        if any(b[i] > ceil_half(b[i - 1], b[i + 1]) for i in range(1, n - k)):
+            continue
+        if any(a[i] > ceil_half(a[i - 1], a[i + 1]) for i in range(1, k)):
+            continue
+        return True
+    return False
 
 
 def random_ideal(rng: random.Random, box: int) -> MonomialIdeal:
@@ -354,17 +529,6 @@ def _diagram_results(product: TowerProduct) -> list[CheckResult]:
         CheckResult.compare(nu_name, text, nu, summary.nu),
         CheckResult.compare("length/hoskin-deligne", text, length, summary.length),
     ]
-
-
-def two_tower_length(kx: Tower, ky: Tower) -> int:
-    """Length of a product of two cross-branch complete towers: l1 + l2 + hx*hy."""
-    if not (kx.is_complete and ky.is_complete):
-        raise UnsupportedError("the two-tower length form needs complete towers")
-    if kx.branch == ky.branch:
-        raise UnsupportedError("the length closed form needs cross-branch towers")
-    if kx.linear_coefficient() * ky.linear_coefficient() == 1:
-        raise UnsupportedError("the tangent directions coincide")
-    return tower_length(kx) + tower_length(ky) + kx.height * ky.height
 
 
 def _factor_depths(product: TowerProduct):

@@ -120,6 +120,23 @@ class TestPrinting:
     def test_unit_text(self):
         assert ideal_text(MonomialIdeal([(0, 0)])) == "(1)"
 
+    @pytest.mark.parametrize(
+        "exponent, text",
+        [
+            ((0, 0), "1"),
+            ((1, 0), "x"),
+            ((0, 1), "y"),
+            ((1, 1), "x y"),
+            ((5, 0), "x^5"),
+            ((0, 12), "y^12"),
+            ((1, 3), "x y^3"),
+            ((4, 1), "x^4 y"),
+            ((2, 9), "x^2 y^9"),
+        ],
+    )
+    def test_every_monomial_shape(self, exponent, text):
+        assert ideal_text(MonomialIdeal([exponent])) == f"({text})"
+
     def test_factors_text(self):
         villa = MonomialIdeal([(6, 0), (4, 1), (2, 2), (1, 3), (0, 5)])
         assert factors_text(factor_normal(villa)) == "n(1,2) * n(1,1) * n(2,1)^2"

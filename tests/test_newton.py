@@ -18,7 +18,8 @@ from behrend import (
     newton_polygon,
     staircase_conditions,
 )
-from behrend.newton import closure_colength, integral_closure_oracle
+from behrend.newton import closure_colength
+from behrend.verify import integral_closure_oracle
 
 
 def ideal(*gens):

@@ -1,0 +1,112 @@
+"""Every record type of the package is an immutable value: it refuses
+attribute assignment, survives copy, deepcopy and pickle as an equal value
+of the same type, and keeps its hash.  The two records with invariants,
+NabFactor and FerrersDiagram, check them on construction."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+import behrend
+from behrend import (
+    CheckResult,
+    DomainError,
+    Factor,
+    FerrersDiagram,
+    MonomialIdeal,
+    NabFactor,
+    fan_of,
+    factor_normal,
+    make_tower,
+    n_ab,
+    newton_polygon,
+    noncomplete_product_nu,
+    nu_monomial,
+    parse,
+)
+from behrend.expr import Token
+from behrend.verify import PRESETS
+
+IDEAL = MonomialIdeal([(4, 0), (3, 1), (1, 2), (0, 5)])
+NORMAL = n_ab(4, 6) * n_ab(1, 2)
+SUMMARY = noncomplete_product_nu(
+    parse("tower(x; g = 1/2*y; exps = [1, 3]) * tower(x; g = -y; exps = [2])").require_towers()
+)
+
+
+def instances():
+    report = nu_monomial(IDEAL)
+    fan = fan_of(NORMAL)
+    return [
+        Token("int", "7", 3),
+        parse("tower(x; g = 0; exps = [1, 2]) * m"),
+        IDEAL.ferrers(),
+        newton_polygon(IDEAL).edges[0],
+        newton_polygon(IDEAL),
+        factor_normal(NORMAL)[0],
+        fan.cones[0],
+        fan,
+        report.components[0],
+        report,
+        make_tower("y", (Fraction(2, 3), 0, 1), (2, 4, 5)),
+        Factor("x", (Fraction(-1, 2),), 2),
+        SUMMARY.diagram.nodes[1],
+        SUMMARY.diagram,
+        SUMMARY,
+        CheckResult.compare("nu/example", "instance", 3, 3),
+        PRESETS["quick"],
+    ]
+
+
+def record_types():
+    """Every NamedTuple class that a behrend module defines, bases excluded."""
+    return {
+        value
+        for name, module in vars(behrend).items()
+        if type(module) is type(behrend)
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, tuple)
+        and value.__module__ == module.__name__
+        and not value.__name__.startswith("_")
+    }
+
+
+def test_every_record_type_has_an_instance():
+    assert {type(record) for record in instances()} == record_types()
+    assert len(record_types()) == 17
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+@pytest.mark.parametrize("record", instances(), ids=lambda record: type(record).__name__)
+def test_record_is_an_immutable_value(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    for how, round_trip in ROUND_TRIPS.items():
+        clone = round_trip(record)
+        assert type(clone) is type(record), how
+        assert clone == record and hash(clone) == hash(record), how
+
+
+def test_nab_factor_checks_its_data():
+    with pytest.raises(DomainError, match="coprime"):
+        NabFactor(2, 4, 1)
+    with pytest.raises(DomainError, match="positive"):
+        NabFactor(0, 1, 1)
+    assert NabFactor(2, 3, 1).ray == (3, 2)
+
+
+def test_ferrers_diagram_checks_its_heights():
+    with pytest.raises(DomainError, match="positive"):
+        FerrersDiagram((2, 0))
+    assert FerrersDiagram(()).column_heights == ()

@@ -108,3 +108,14 @@ def test_closed_stdout_exits_quietly():
     assert first == "nu = 10003\n"
     assert err == ""
     assert child.returncode == 141
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # a behrend process pays for every module it imports; records are
+    # NamedTuples so that neither of these heavy modules comes in
+    code = "import sys, behrend.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

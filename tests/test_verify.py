@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -212,7 +211,7 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
     monkeypatch.setattr(
         behrend.verify,
         "noncomplete_product_nu",
-        lambda product: replace(engine(product), nu=engine(product).nu + 1),
+        lambda product: engine(product)._replace(nu=engine(product).nu + 1),
     )
     for p in routed:
         assert _diagram_results(p)[0].status == "fail"
