@@ -5,115 +5,53 @@ Newton polygons, integral closures and normality, the unique factorization
 of normal ideals into n(a, b) atoms, toric fans of blowups, towers of
 curvilinear ideals with their exceptional-curve diagrams, and above all the
 Behrend number, computed by two independent engines that verify each other.
+
+The public names resolve on first access (PEP 562), so a process imports
+only the modules whose names it uses: `behrend nu "(x^2,y^3)"` never loads
+`verify`, `render` or `towers`.
 """
 
-from .errors import BehrendError, DomainError, ParseError, UnsupportedError
-from .expr import factors_text, ideal_text, parse, product_text, tower_text
-from .ideals import (
-    MAXIMAL_IDEAL,
-    UNIT_IDEAL,
-    FerrersDiagram,
-    MonomialIdeal,
-    complete_intersection,
-    minimal_generators,
-)
-from .newton import (
-    Edge,
-    NewtonPolygon,
-    closure_power,
-    integral_closure,
-    is_normal,
-    newton_polygon,
-)
-from .normal_factor import (
-    Cone,
-    Fan,
-    NabFactor,
-    component_count,
-    factor_normal,
-    fan_of,
-    n_ab,
-)
-from .nu import BehrendReport, ComponentRecord, nu_monomial
-from .towers import (
-    DynkinDiagram,
-    DynkinNode,
-    Factor,
-    Tower,
-    TowerNuSummary,
-    TowerProduct,
-    build_dynkin,
-    make_tower,
-    noncomplete_product_nu,
-    tower_length,
-)
-from .verify import (
-    Bounds,
-    CheckResult,
-    nu_lci,
-    nu_power_rule,
-    product_nu,
-    run_all,
-    staircase_conditions,
-    tower_nu,
-    tower_times_m_power,
-    two_tower_length,
-    two_tower_nu,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BehrendError",
-    "DomainError",
-    "ParseError",
-    "UnsupportedError",
-    "MonomialIdeal",
-    "FerrersDiagram",
-    "MAXIMAL_IDEAL",
-    "UNIT_IDEAL",
-    "minimal_generators",
-    "complete_intersection",
-    "Edge",
-    "NewtonPolygon",
-    "newton_polygon",
-    "closure_power",
-    "integral_closure",
-    "is_normal",
-    "staircase_conditions",
-    "NabFactor",
-    "Fan",
-    "Cone",
-    "n_ab",
-    "factor_normal",
-    "fan_of",
-    "component_count",
-    "BehrendReport",
-    "ComponentRecord",
-    "nu_monomial",
-    "nu_power_rule",
-    "nu_lci",
-    "Tower",
-    "TowerProduct",
-    "TowerNuSummary",
-    "Factor",
-    "DynkinDiagram",
-    "DynkinNode",
-    "make_tower",
-    "tower_length",
-    "tower_nu",
-    "two_tower_nu",
-    "two_tower_length",
-    "build_dynkin",
-    "product_nu",
-    "noncomplete_product_nu",
-    "tower_times_m_power",
-    "parse",
-    "ideal_text",
-    "factors_text",
-    "tower_text",
-    "product_text",
-    "Bounds",
-    "CheckResult",
-    "run_all",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "errors": ("BehrendError", "DomainError", "ParseError", "UnsupportedError"),
+    "ideals": (
+        "MonomialIdeal", "FerrersDiagram", "MAXIMAL_IDEAL", "UNIT_IDEAL",
+        "minimal_generators", "complete_intersection",
+    ),
+    "newton": (
+        "Edge", "NewtonPolygon", "newton_polygon", "closure_power",
+        "integral_closure", "is_normal",
+    ),
+    "normal_factor": ("NabFactor", "Fan", "Cone", "n_ab", "factor_normal", "fan_of",
+                      "component_count"),
+    "nu": ("BehrendReport", "ComponentRecord", "nu_monomial"),
+    "towers": (
+        "Tower", "TowerProduct", "TowerNuSummary", "Factor", "DynkinDiagram",
+        "DynkinNode", "make_tower", "tower_length", "build_dynkin",
+        "noncomplete_product_nu",
+    ),
+    "expr": ("parse", "ideal_text", "factors_text", "tower_text", "product_text"),
+    "verify": (
+        "staircase_conditions", "nu_power_rule", "nu_lci", "tower_nu", "two_tower_nu",
+        "two_tower_length", "product_nu", "tower_times_m_power", "Bounds",
+        "CheckResult", "run_all",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

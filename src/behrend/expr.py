@@ -20,12 +20,15 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, UnsupportedError
 from .ideals import MAXIMAL_IDEAL, MonomialIdeal
-from .normal_factor import NabFactor, n_ab
-from .towers import Factor, Tower, TowerProduct, make_tower
+from .normal_factor import n_ab
+
+if TYPE_CHECKING:  # towers is imported only where a tower form is built
+    from .normal_factor import NabFactor
+    from .towers import Factor, Tower, TowerProduct
 
 # One alternative per token kind, in ASCII only; whitespace is skipped and
 # any other character, digits and letters outside ASCII included, is an error.
@@ -78,6 +81,8 @@ class Elaborated(NamedTuple):
                 "this expression is not a product of towers (raw generator "
                 "lists and n(a,b) atoms have no tower form)"
             )
+        from .towers import TowerProduct
+
         return TowerProduct.from_factors(self.factors)
 
 
@@ -148,6 +153,8 @@ class _Parser:
         if token.kind == "(":
             return self.generator_list()
         if token.kind == "name" and token.value == "m":
+            from .towers import Factor
+
             self.advance()
             return Elaborated(ideal=MAXIMAL_IDEAL, factors=(Factor(None, (), 1),))
         if token.kind == "name" and token.value == "n":
@@ -233,6 +240,8 @@ class _Parser:
             exps.append(self.expect_int("an exponent"))
         self.expect("]", "']'")
         self.expect(")", "')' closing the tower")
+        from .towers import make_tower
+
         tower = make_tower(branch, tangent, exps)
         ideal = tower.ideal() if tower.is_monomial else None
         return Elaborated(ideal=ideal, factors=(tower,))

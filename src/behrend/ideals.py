@@ -186,6 +186,10 @@ class FerrersDiagram(_Heights):
             raise DomainError("column heights must be positive")
         return super().__new__(cls, column_heights)
 
+    @classmethod
+    def _make(cls, iterable):  # through __new__'s checks; _replace calls this too
+        return cls(*iterable)
+
 
 UNIT_IDEAL = MonomialIdeal([(0, 0)])
 MAXIMAL_IDEAL = MonomialIdeal([(1, 0), (0, 1)])

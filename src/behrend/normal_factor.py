@@ -35,6 +35,10 @@ class NabFactor(_Atom):
             raise DomainError("alpha and beta must be coprime")
         return super().__new__(cls, alpha, beta, delta)
 
+    @classmethod
+    def _make(cls, iterable):  # through __new__'s checks; _replace calls this too
+        return cls(*iterable)
+
     @property
     def ray(self) -> tuple[int, int]:
         return (self.beta, self.alpha)

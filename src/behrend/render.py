@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .expr import tangent_text
-from .ideals import FerrersDiagram
-from .normal_factor import Fan
-from .towers import DynkinDiagram, TowerProduct
+
+if TYPE_CHECKING:  # so that fan and ferrers do not import towers
+    from .ideals import FerrersDiagram
+    from .normal_factor import Fan
+    from .towers import DynkinDiagram, TowerProduct
 
 
 def ferrers_text(diagram: FerrersDiagram) -> str:

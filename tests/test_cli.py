@@ -82,6 +82,23 @@ class TestCommands:
         code, out, _ = run(capsys, "normalize", "(x^2, y^3)")
         assert code == 0 and out.strip() == "(x^2, x y^2, y^3)"
 
+    def test_normalize_of_a_normal_input_walks_its_closure_once(self, capsys, monkeypatch):
+        import behrend.newton
+        from behrend import ideal_text, integral_closure, n_ab
+
+        expected = ideal_text(integral_closure(n_ab(50816, 50009))) + "\n"
+        walks = []
+        original = behrend.newton.closure_power
+
+        def counted(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(behrend.newton, "closure_power", counted)
+        code, out, _ = run(capsys, "normalize", "n(50816,50009)")
+        assert code == 0 and out == expected
+        assert len(walks) == 1  # n(a,b) builds its closure; normalize reuses it
+
     def test_normal_query(self, capsys):
         code, out, _ = run(capsys, "normal?", "(x^2, y^2)")
         assert code == 0 and out.strip() == "not normal"
@@ -124,6 +141,15 @@ class TestCommands:
         payload = run_json(capsys, "verify", "--seed", "2", "--bounds", "quick")
         assert payload["counts"]["fail"] == 0
         assert all(r["status"] != "fail" for r in payload["results"])
+
+    def test_bounds_choices_are_the_verify_presets(self):
+        # cli writes the preset names out so that parsing does not import verify
+        from behrend.cli import build_parser
+        from behrend.verify import PRESETS
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        bounds = next(a for a in commands.choices["verify"]._actions if a.dest == "bounds")
+        assert list(bounds.choices) == sorted(PRESETS)
 
 
 # one case per JSON kind that no other test validates, with pinned values
@@ -189,7 +215,7 @@ class TestJsonKinds:
         ]
 
     def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
-        import behrend.cli
+        import behrend.verify
         from behrend.verify import CheckResult
 
         results = [
@@ -197,7 +223,8 @@ class TestJsonKinds:
             CheckResult("nu/a", "j", 4, 5, "fail"),
             CheckResult("nu/b", "k", 1, 1, "pass"),
         ]
-        monkeypatch.setattr(behrend.cli, "run_all", lambda seed, bounds: results)
+        # cli imports run_all from verify when the command runs, so patch its home
+        monkeypatch.setattr(behrend.verify, "run_all", lambda seed, bounds: results)
         code, out, _ = run(capsys, "verify", "--bounds", "quick")
         assert code == 2
         assert out.splitlines() == [

@@ -110,3 +110,28 @@ def test_ferrers_diagram_checks_its_heights():
     with pytest.raises(DomainError, match="positive"):
         FerrersDiagram((2, 0))
     assert FerrersDiagram(()).column_heights == ()
+
+
+def test_make_and_replace_check_the_invariants():
+    # NamedTuple's own _make skips __new__, and _replace goes through _make
+    with pytest.raises(DomainError, match="coprime"):
+        NabFactor(2, 3, 1)._replace(alpha=6)
+    with pytest.raises(DomainError, match="positive"):
+        NabFactor._make((0, 0, 0))
+    with pytest.raises(DomainError, match="decreasing"):
+        FerrersDiagram._make(((1, 3),))
+    with pytest.raises(DomainError, match="positive"):
+        FerrersDiagram((2, 1))._replace(column_heights=(2, 0))
+
+
+@pytest.mark.parametrize(
+    "record,change",
+    [(NabFactor(2, 3, 1), {"alpha": 4}), (FerrersDiagram((3, 1)), {"column_heights": (2, 2)})],
+)
+def test_valid_replace_and_make_keep_the_type(record, change):
+    changed = record._replace(**change)
+    assert type(changed) is type(record)
+    assert changed == tuple({**record._asdict(), **change}.values())
+    assert type(record)._make(record) == record
+    for how, round_trip in ROUND_TRIPS.items():
+        assert round_trip(changed) == changed, how

@@ -30,6 +30,15 @@ def child_env() -> dict:
     return env
 
 
+def python(code: str) -> str:
+    """Standard output of `python -c code` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def behrend(*argv: str) -> str:
     done = subprocess.run(
         [sys.executable, "-m", "behrend", *argv],
@@ -114,8 +123,45 @@ def test_cli_import_skips_dataclasses_and_inspect():
     # a behrend process pays for every module it imports; records are
     # NamedTuples so that neither of these heavy modules comes in
     code = "import sys, behrend.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=20
+    assert python(code).strip() == "[]"
+
+
+# modules a command must not import unless its command or input uses them
+WATCHED = ("behrend.verify", "behrend.render", "behrend.towers", "json")
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (("nu", "(x^2,y^3)"), []),
+        (("nu", "tower(x; g=y; exps=[1, 3])"), ["behrend.towers"]),
+        (("fan", "(x^2, x y^2, y^3)"), ["behrend.render"]),
+        (("length", "(x^2,y^3)", "--format", "json"), ["json"]),
+    ],
+)
+def test_cold_start_imports_only_what_the_command_uses(argv, loaded):
+    # modules already loaded at start-up (a site hook may load json) are not counted
+    code = (
+        "import sys; before = set(sys.modules); from behrend.cli import main; "
+        f"code = main({list(argv)!r}); "
+        f"print(code, sorted((set(sys.modules) - before) & set({WATCHED!r})))"
     )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert python(code).splitlines()[-1] == f"0 {loaded}"
+
+
+def test_public_names_resolve_to_their_home_modules():
+    import behrend
+
+    assert len(behrend.__all__) == len(set(behrend.__all__)) == 52
+    for name in behrend.__all__:
+        value = getattr(behrend, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    code = (
+        "import behrend; listed = set(dir(behrend)); names = {}; "
+        "exec('from behrend import *', names); public = set(behrend.__all__); "
+        "print(len(public), set(names) - {'__builtins__'} == public, public <= listed)"
+    )
+    assert python(code).strip() == "52 True True"
