@@ -159,9 +159,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "normalize":
-        ideal = elaborated.require_ideal().require_fat_point()
-        # an n(a,b) is already its closure: one O(#generators) test, not a second walk
-        closure = ideal if is_normal(ideal) else integral_closure(ideal)
+        closure = integral_closure(elaborated.require_ideal().require_fat_point())
         print(_envelope("ideal", ideal_json(closure)) if as_json else ideal_text(closure))
         return 0
 

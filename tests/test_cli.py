@@ -82,23 +82,6 @@ class TestCommands:
         code, out, _ = run(capsys, "normalize", "(x^2, y^3)")
         assert code == 0 and out.strip() == "(x^2, x y^2, y^3)"
 
-    def test_normalize_of_a_normal_input_walks_its_closure_once(self, capsys, monkeypatch):
-        import behrend.newton
-        from behrend import ideal_text, integral_closure, n_ab
-
-        expected = ideal_text(integral_closure(n_ab(50816, 50009))) + "\n"
-        walks = []
-        original = behrend.newton.closure_power
-
-        def counted(*args):
-            walks.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(behrend.newton, "closure_power", counted)
-        code, out, _ = run(capsys, "normalize", "n(50816,50009)")
-        assert code == 0 and out == expected
-        assert len(walks) == 1  # n(a,b) builds its closure; normalize reuses it
-
     def test_normal_query(self, capsys):
         code, out, _ = run(capsys, "normal?", "(x^2, y^2)")
         assert code == 0 and out.strip() == "not normal"

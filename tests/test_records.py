@@ -5,7 +5,9 @@ NabFactor and FerrersDiagram, check them on construction."""
 
 import copy
 import pickle
+import pkgutil
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -61,11 +63,17 @@ def instances():
 
 
 def record_types():
-    """Every NamedTuple class that a behrend module defines, bases excluded."""
+    """Every NamedTuple class that a behrend module defines, bases excluded.
+    The modules are listed from the package directory, so a module this file
+    does not import is still scanned."""
+    modules = [
+        import_module(f"behrend.{info.name}")
+        for info in pkgutil.iter_modules(behrend.__path__)
+        if info.name != "__main__"
+    ]
     return {
         value
-        for name, module in vars(behrend).items()
-        if type(module) is type(behrend)
+        for module in modules
         for value in vars(module).values()
         if isinstance(value, type)
         and issubclass(value, tuple)
