@@ -135,8 +135,8 @@ def _run_command(args) -> int:
     elaborated = parse(args.expr)
 
     if args.command == "length":
-        if elaborated.ideal is not None:
-            value = elaborated.ideal.require_fat_point().colength()
+        if elaborated.is_monomial:
+            value = elaborated.require_ideal().require_fat_point().colength()
         else:
             from .towers import product_length
 
@@ -145,8 +145,8 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "nu":
-        if elaborated.ideal is not None:
-            report = nu_monomial(elaborated.ideal)
+        if elaborated.is_monomial:
+            report = nu_monomial(elaborated.require_ideal())
             print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
         else:
             from .towers import noncomplete_product_nu

@@ -11,9 +11,12 @@ Grammar (whitespace-insensitive, left-associative `*`, postfix `^`):
     monomial := "1" | var ("^" INT)? (var ("^" INT)?)*
 
 Variables are fixed to x and y; a z anywhere is rejected as out of scope
-(fat points in three or more variables).  Every expression elaborates to a
-monomial ideal, a tower product, or both; a product mixing a non-monomial
-tower with a raw generator list has neither form and is rejected.
+(fat points in three or more variables).  parse validates every atom but
+multiplies nothing: it returns the expression as a product of powers of its
+atoms, and a command multiplies it out only when it needs the monomial
+ideal, or groups it into towers only when it needs the tower product.  A
+product mixing a non-monomial tower with a raw generator list has neither
+form and is rejected by both.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .normal_factor import n_ab
 
 if TYPE_CHECKING:  # towers is imported only where a tower form is built
     from .normal_factor import NabFactor
-    from .towers import Factor, Tower, TowerProduct
+    from .towers import Tower, TowerProduct
 
 # One alternative per token kind, in ASCII only; whitespace is skipped and
 # any other character, digits and letters outside ASCII included, is an error.
@@ -58,42 +61,54 @@ def _tokenize(text: str) -> list[Token]:
 
 
 class Elaborated(NamedTuple):
-    """The two elaborations of an expression; either may be missing.
+    """An expression as a product of powers, multiplied out on demand.
 
-    factors is the tower form: each tower literal whole, as one Tower, and
-    each bare m as one Factor; TowerProduct.from_factors groups them.
+    terms holds one (atom, d) pair per factor, in the order written: atom is
+    the MonomialIdeal of a generator list or of n(a,b), the Tower of a tower
+    literal, or the string "m" for the maximal ideal, and d its exponent.
     """
 
-    ideal: MonomialIdeal | None
-    factors: tuple[Tower | Factor, ...] | None
+    terms: tuple[tuple[MonomialIdeal | Tower | str, int], ...]
+
+    @property
+    def is_monomial(self) -> bool:
+        """Whether require_ideal answers: no atom is a non-monomial tower."""
+        return all(
+            isinstance(atom, (MonomialIdeal, str)) or atom.is_monomial for atom, _ in self.terms
+        )
 
     def require_ideal(self) -> MonomialIdeal:
-        if self.ideal is None:
+        if not self.is_monomial:
             raise UnsupportedError(
                 "this expression contains a non-monomial tower and does not "
                 "expand to a monomial ideal"
             )
-        return self.ideal
+        ideal = None
+        for atom, d in self.terms:
+            if atom == "m":
+                atom = MAXIMAL_IDEAL
+            elif not isinstance(atom, MonomialIdeal):
+                atom = atom.ideal()
+            ideal = atom**d if ideal is None else ideal * atom**d
+        return ideal
 
     def require_towers(self) -> TowerProduct:
-        if self.factors is None:
+        if any(isinstance(atom, MonomialIdeal) for atom, _ in self.terms):
             raise UnsupportedError(
                 "this expression is not a product of towers (raw generator "
                 "lists and n(a,b) atoms have no tower form)"
             )
-        from .towers import TowerProduct
+        from .towers import Factor, TowerProduct
 
-        return TowerProduct.from_factors(self.factors)
-
-
-def _combine(left: Elaborated, right: Elaborated) -> Elaborated:
-    ideal = None
-    if left.ideal is not None and right.ideal is not None:
-        ideal = left.ideal * right.ideal
-    factors = None
-    if left.factors is not None and right.factors is not None:
-        factors = left.factors + right.factors
-    return Elaborated(ideal=ideal, factors=factors)
+        # from_factors refuses a repeated tower factor, and fits an m into
+        # each tower lacking exponent 1 plus two new ones: more copies than
+        # len(terms) + 2 change nothing
+        copies = len(self.terms) + 2
+        return TowerProduct.from_factors(
+            item
+            for atom, d in self.terms
+            for item in (Factor(None, (), 1) if atom == "m" else atom,) * min(d, copies)
+        )
 
 
 class _Parser:
@@ -131,32 +146,26 @@ class _Parser:
         return value
 
     def expr(self) -> Elaborated:
-        value = self.factor()
+        terms = [self.factor()]
         while self.peek().kind == "*":
             self.advance()
-            value = _combine(value, self.factor())
-        return value
+            terms.append(self.factor())
+        return Elaborated(tuple(terms))
 
-    def factor(self) -> Elaborated:
-        value = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            d = self.expect_int("an integer exponent")
-            ideal = value.ideal**d if value.ideal is not None else None
-            # from_factors lets only m repeat and fits fewer m than tokens: more copies add nothing
-            factors = None if value.factors is None else value.factors * min(d, len(self.tokens))
-            value = Elaborated(ideal=ideal, factors=factors)
-        return value
+    def factor(self) -> tuple[MonomialIdeal | Tower | str, int]:
+        atom = self.atom()
+        if self.peek().kind != "^":
+            return atom, 1
+        self.advance()
+        return atom, self.expect_int("an integer exponent")
 
-    def atom(self) -> Elaborated:
+    def atom(self) -> MonomialIdeal | Tower | str:
         token = self.peek()
         if token.kind == "(":
             return self.generator_list()
         if token.kind == "name" and token.value == "m":
-            from .towers import Factor
-
             self.advance()
-            return Elaborated(ideal=MAXIMAL_IDEAL, factors=(Factor(None, (), 1),))
+            return "m"
         if token.kind == "name" and token.value == "n":
             self.advance()
             self.expect("(", "'(' after n")
@@ -164,19 +173,19 @@ class _Parser:
             self.expect(",", "','")
             b = self.expect_int("beta")
             self.expect(")", "')'")
-            return Elaborated(ideal=n_ab(a, b), factors=None)
+            return n_ab(a, b)
         if token.kind == "name" and token.value == "tower":
             return self.tower_literal()
         self.fail("expected '(', 'm', 'n(a,b)' or 'tower(...)'")
 
-    def generator_list(self) -> Elaborated:
+    def generator_list(self) -> MonomialIdeal:
         self.expect("(", "'('")
         gens = [self.monomial()]
         while self.peek().kind == ",":
             self.advance()
             gens.append(self.monomial())
         self.expect(")", "')' closing the generator list")
-        return Elaborated(ideal=MonomialIdeal(gens), factors=None)
+        return MonomialIdeal(gens)
 
     def monomial(self) -> tuple[int, int]:
         token = self.peek()
@@ -215,7 +224,7 @@ class _Parser:
             self.fail("expected a monomial")
         return (exponents["x"] or 0, exponents["y"] or 0)
 
-    def tower_literal(self) -> Elaborated:
+    def tower_literal(self) -> Tower:
         self.expect("name", "'tower'")
         self.expect("(", "'(' after tower")
         branch_token = self.expect("name", "a branch ('x' or 'y')")
@@ -242,9 +251,7 @@ class _Parser:
         self.expect(")", "')' closing the tower")
         from .towers import make_tower
 
-        tower = make_tower(branch, tangent, exps)
-        ideal = tower.ideal() if tower.is_monomial else None
-        return Elaborated(ideal=ideal, factors=(tower,))
+        return make_tower(branch, tangent, exps)
 
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients

@@ -120,16 +120,21 @@ class MonomialIdeal:
         return MonomialIdeal(sums)
 
     def __pow__(self, d: int) -> "MonomialIdeal":
+        """Square and multiply from the low bit, squaring no further than the
+        top bit; I**1 is I itself, polygon memo included."""
         if d < 0:
             raise DomainError("negative ideal powers are undefined")
-        result = UNIT_IDEAL
+        if d == 0:
+            return UNIT_IDEAL
+        result = None
         base = self
-        while d:
+        while True:
             if d & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             d >>= 1
-        return result
+            if not d:
+                return result
+            base = base * base
 
     def __contains__(self, exponent) -> bool:
         """Membership of the monomial x^a y^b in the ideal."""

@@ -12,6 +12,8 @@ and oracles that only these checks call:
   nu/power-rule              d * nu(I) (nu_power_rule) against nu(I^d)
   length/m-power, nu/m-power tower_times_m_power against the expansion
   length/cross-pair          two_tower_length against the staircase
+  nu/dual-engine             the diagram engine against the polygon engine
+                             on random monomial tower products
   nu/diagram-consistency     the diagram engine against the polygon engine,
                              the single-tower form (by the shear onto the
                              monomial model) or two_tower_nu
@@ -20,11 +22,12 @@ and oracles that only these checks call:
                              (meet levels of factor pairs), for the products
                              no other route covers
   length/hoskin-deligne      the diagram's length (DynkinDiagram.length) on
-                             every product that nu/dual-engine and the two
-                             families above check, against the staircase of
-                             the monomial expansion, tower_length,
-                             two_tower_length for a complete cross pair, or
-                             else pairwise_meet_length (mixed multiplicities)
+                             every product that nu/dual-engine,
+                             nu/diagram-consistency or nu/contraction-degrees
+                             checks, against the staircase of the monomial
+                             expansion, tower_length, two_tower_length for a
+                             complete cross pair, or else
+                             pairwise_meet_length (mixed multiplicities)
   closure/definitional       integral_closure against integral_closure_oracle
   closure/normal-staircase-conditions
                              staircase_conditions on every normal ideal drawn
@@ -312,31 +315,17 @@ def random_normal_ideal(rng: random.Random, box: int) -> MonomialIdeal:
     return integral_closure(random_ideal(rng, box))
 
 
-def random_monomial_tower_product(rng: random.Random, max_exponent: int) -> TowerProduct:
-    """Up to three monomial towers with random branches and exponent sets;
-    resamples when the factors collide (same-branch overlapping exponents)."""
+def random_tower_product(rng: random.Random, max_size: int, tangents: bool) -> TowerProduct:
+    """Up to three towers with random branches, exponent sets of up to
+    max_size exponents and, if asked, rational tangents; resamples on factor
+    collisions (same tower, overlapping exponents) or aligned cross
+    directions."""
     while True:
         factors = []
         for _ in range(rng.randint(1, 3)):
             branch = rng.choice(("x", "y"))
-            size = rng.randint(1, 4)
-            exps = rng.sample(range(1, max_exponent + 1), size)
-            factors.extend(Factor(branch, (), e) for e in exps)
-        try:
-            return TowerProduct.from_factors(factors)
-        except UnsupportedError:
-            continue
-
-
-def random_tangent_tower_product(rng: random.Random, max_exponent: int) -> TowerProduct:
-    """Up to three towers with random branches, exponent sets and rational
-    tangents; resamples on factor collisions or aligned cross directions."""
-    while True:
-        factors = []
-        for _ in range(rng.randint(1, 3)):
-            branch = rng.choice(("x", "y"))
-            exps = sorted(rng.sample(range(1, max_exponent + 1), rng.randint(1, 3)))
-            tangent = _random_tangent(rng, exps[-1])
+            exps = sorted(rng.sample(range(1, TOWER_EXPONENT_MAX + 1), rng.randint(1, max_size)))
+            tangent = _random_tangent(rng, exps[-1]) if tangents else ()
             factors.extend(Factor(branch, tangent, e) for e in exps)
         try:
             return TowerProduct.from_factors(factors)
@@ -421,14 +410,7 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
     """The Newton-polygon Behrend number against every independent route."""
     results = []
     for _ in range(bounds.tower_products):
-        product = random_monomial_tower_product(rng, TOWER_EXPONENT_MAX)
-        report = nu_monomial(product.expand())
-        summary = noncomplete_product_nu(product)
-        text = product_text(product)
-        results.append(CheckResult.compare("nu/dual-engine", text, report.nu, summary.nu))
-        results.append(
-            CheckResult.compare("length/hoskin-deligne", text, report.length, summary.length)
-        )
+        results.extend(_diagram_results(random_tower_product(rng, 4, False), "nu/dual-engine"))
     for _ in range(bounds.power_ideals):
         ideal = random_ideal(rng, RANDOM_BOX)
         d = rng.randint(1, POWER_MAX)
@@ -482,14 +464,14 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
                 )
             )
     for _ in range(bounds.tangent_products):
-        product = random_tangent_tower_product(rng, TOWER_EXPONENT_MAX)
-        results.extend(_diagram_results(product))
+        product = random_tower_product(rng, 3, True)
+        results.extend(_diagram_results(product, "nu/diagram-consistency"))
     results.extend(check_pair_agreement(bounds))
     results.extend(check_m_power())
     return results
 
 
-def _diagram_results(product: TowerProduct) -> list[CheckResult]:
+def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
     """The diagram engine's nu and length against independent routes.
 
     Monomial products go to the polygon engine and the staircase; a single
@@ -497,7 +479,8 @@ def _diagram_results(product: TowerProduct) -> list[CheckResult]:
     the shear, for it; a complete pair to the two-tower forms (the length
     form for cross pairs only).  What no closed form covers goes to
     pairwise_meet_nu, under nu/contraction-degrees, and to
-    pairwise_meet_length.  A failed divisor-degree check of build_dynkin is
+    pairwise_meet_length.  The closed-form nu comparisons are reported
+    under family.  A failed divisor-degree check of build_dynkin is
     reported as one nu/contraction-degrees failure.
     """
     text = product_text(product)
@@ -520,13 +503,12 @@ def _diagram_results(product: TowerProduct) -> list[CheckResult]:
             pass
         if towers[0].branch != towers[1].branch:
             length = two_tower_length(*towers)
-    nu_name = "nu/diagram-consistency"
     if nu is None:
-        nu_name, nu = "nu/contraction-degrees", pairwise_meet_nu(product)
+        family, nu = "nu/contraction-degrees", pairwise_meet_nu(product)
     if length is None:
         length = pairwise_meet_length(product)
     return [
-        CheckResult.compare(nu_name, text, nu, summary.nu),
+        CheckResult.compare(family, text, nu, summary.nu),
         CheckResult.compare("length/hoskin-deligne", text, length, summary.length),
     ]
 
@@ -696,7 +678,7 @@ def run_all(seed: int = 0, bounds: Bounds | None = None) -> list[CheckResult]:
     results.extend(check_nu_cross(rng, bounds))
     results.extend(check_closure(rng, bounds))
     for _ in range(bounds.tangent_products // 5):
-        results.extend(_diagram_results(random_complete_pair(rng)))
+        results.extend(_diagram_results(random_complete_pair(rng), "nu/diagram-consistency"))
     return sorted(results, key=lambda r: (r.name, r.instance))
 
 

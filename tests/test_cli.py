@@ -320,7 +320,7 @@ class TestOutputsAndEnv:
         code, out, _ = run(capsys, "factor", "(x^6, x^4 y, x^2 y^2, x y^3, y^5)")
         from behrend import MonomialIdeal, parse
 
-        assert parse(out.strip()).ideal == MonomialIdeal(
+        assert parse(out.strip()).require_ideal() == MonomialIdeal(
             [(6, 0), (4, 1), (2, 2), (1, 3), (0, 5)]
         )
 

@@ -25,31 +25,31 @@ from behrend import (
 
 class TestParsing:
     def test_maximal_power(self):
-        assert parse("m^3").ideal == MAXIMAL_IDEAL**3
+        assert parse("m^3").require_ideal() == MAXIMAL_IDEAL**3
 
     def test_generator_list(self):
-        assert parse("(x^7, x^3 y, x^2 y^3, x y^4, y^6)").ideal == MonomialIdeal(
+        assert parse("(x^7, x^3 y, x^2 y^3, x y^4, y^6)").require_ideal() == MonomialIdeal(
             [(7, 0), (3, 1), (2, 3), (1, 4), (0, 6)]
         )
 
     def test_whitespace_insensitive(self):
-        assert parse("( x^7,x^3 y, x^2y^3, xy^4, y^6 )").ideal == parse(
+        assert parse("( x^7,x^3 y, x^2y^3, xy^4, y^6 )").require_ideal() == parse(
             "(x^7, x^3 y, x^2 y^3, x y^4, y^6)"
-        ).ideal
+        ).require_ideal()
 
     def test_exponent_one_optional(self):
-        assert parse("(x^1 y^1)").ideal == parse("(x y)").ideal
+        assert parse("(x^1 y^1)").require_ideal() == parse("(x y)").require_ideal()
 
     def test_unit_ideal(self):
-        assert parse("(1)").ideal == MonomialIdeal([(0, 0)])
+        assert parse("(1)").require_ideal() == MonomialIdeal([(0, 0)])
 
     def test_list_with_alias_product(self):
         value = parse("(x^2, x y^2, y^3) * n(1,1)")
-        assert value.ideal == n_ab(2, 3) * MAXIMAL_IDEAL
+        assert value.require_ideal() == n_ab(2, 3) * MAXIMAL_IDEAL
 
     def test_tower_pair(self):
         value = parse("tower(x; g=0; exps=[2]) * tower(y; g=0; exps=[3])")
-        assert value.ideal == MonomialIdeal([(1, 1), (4, 0), (0, 3)])
+        assert value.require_ideal() == MonomialIdeal([(1, 1), (4, 0), (0, 3)])
         product = value.require_towers()
         assert len(product.towers) == 2
 
@@ -60,13 +60,31 @@ class TestParsing:
 
     def test_non_monomial_tower_has_no_ideal(self):
         value = parse("tower(x; g = y; exps = [2])")
-        assert value.ideal is None
+        assert not value.is_monomial
         with pytest.raises(UnsupportedError):
             value.require_ideal()
 
     def test_mixed_product_rejected_both_ways(self):
         value = parse("(x^2, y^2) * tower(x; g = y; exps = [2])")
-        assert value.ideal is None and value.factors is None
+        with pytest.raises(UnsupportedError):
+            value.require_ideal()
+        with pytest.raises(UnsupportedError):
+            value.require_towers()
+
+    def test_power_kept_unexpanded(self):
+        (term,) = parse("n(99,99)^99").terms
+        assert term == (n_ab(99, 99), 99)
+
+    def test_parse_multiplies_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("parse multiplied")
+
+        for name in ("__mul__", "__pow__"):
+            monkeypatch.setattr(MonomialIdeal, name, refuse)
+        monkeypatch.setattr(TowerProduct, "from_factors", refuse)
+        value = parse("n(2,3)^4 * (x^2, y) * m^3 * tower(x; g = 0; exps = [1, 2])^2")
+        assert [d for _, d in value.terms] == [4, 1, 3, 2]
+        assert value.is_monomial
 
     def test_three_variables_rejected(self):
         with pytest.raises(UnsupportedError):
@@ -158,11 +176,11 @@ class TestRoundTrips:
             MonomialIdeal([(7, 0), (3, 1), (2, 3), (1, 4), (0, 6)]),
             MonomialIdeal([(0, 0)]),
         ):
-            assert parse(ideal_text(I)).ideal == I
+            assert parse(ideal_text(I)).require_ideal() == I
 
     def test_factorization_roundtrip(self):
         villa = MonomialIdeal([(6, 0), (4, 1), (2, 2), (1, 3), (0, 5)])
-        assert parse(factors_text(factor_normal(villa))).ideal == villa
+        assert parse(factors_text(factor_normal(villa))).require_ideal() == villa
 
     def test_tower_roundtrip(self):
         towers = [
@@ -203,7 +221,7 @@ class TestPrintParseRoundTrips:
     @given(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=1, max_size=6))
     def test_ideal_text(self, gens):
         I = MonomialIdeal(gens)
-        assert parse(ideal_text(I)).ideal == I
+        assert parse(ideal_text(I)).require_ideal() == I
 
     @given(tower_products())
     def test_product_text(self, product):

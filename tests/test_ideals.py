@@ -118,6 +118,18 @@ class TestProductAndPower:
     def test_normalized_power_identity(self):
         assert n_ab(2, 3) ** 2 == n_ab(4, 6)
 
+    @given(finite_ideals(box=5), st.integers(1, 9))
+    @settings(max_examples=60)
+    def test_power_is_the_repeated_product(self, I, d):
+        product = I
+        for _ in range(d - 1):
+            product = product * I
+        assert I**d == product
+
+    def test_first_power_is_the_ideal_itself(self):
+        I = n_ab(5, 7)
+        assert I**1 is I
+
     @given(finite_ideals(box=5), finite_ideals(box=5))
     @settings(max_examples=60)
     def test_colength_superadditive(self, I, J):

@@ -39,14 +39,18 @@ def python(code: str) -> str:
     return done.stdout
 
 
-def behrend(*argv: str) -> str:
-    done = subprocess.run(
+def child(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, "-m", "behrend", *argv],
         capture_output=True,
         text=True,
         env=child_env(),
         timeout=20,
     )
+
+
+def behrend(*argv: str) -> str:
+    done = child(*argv)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -66,6 +70,33 @@ def test_normalize_wide_ideal():
     assert behrend("normalize", WIDE).strip() == (
         "(x^100000000, x^66666667 y, x^33333334 y^2, y^3)"
     )
+
+
+def test_first_power_costs_no_squaring():
+    # I**1 is I itself; squaring the 50,010 generators would take 2.5 * 10^9 products
+    assert behrend("nu", "n(50816,50009)^1").startswith("nu = 2541257344\n")
+
+
+def test_power_refused_by_dynkin_is_not_expanded():
+    done = child("dynkin", "n(99,99)^99")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == (
+        "unsupported: this expression is not a product of towers (raw generator "
+        "lists and n(a,b) atoms have no tower form)\n"
+    )
+
+
+def test_dynkin_of_monomial_tower_pair_skips_the_ideal():
+    # dynkin never reads the product ideal, so it must not multiply it out
+    h = 3000
+    exps = ", ".join(map(str, range(1, h + 1)))
+    text = f"tower(x; g=0; exps=[{exps}]) * tower(y; g=0; exps=[{exps}])"
+    payload = json.loads(behrend("dynkin", text, "--format", "json"))
+    assert len(payload["nodes"]) == 2 * h - 1
+    # the root carries all 2h factors; the level-r node of each chain carries
+    # min(k, r) from each factor of its own tower and 1 from each of the other's
+    chain = sum(r * (r + 1) // 2 + r * (h - r) + h for r in range(2, h + 1))
+    assert payload["nu"] == 2 * h + 2 * chain
 
 
 def test_sparse_tower_chain():
@@ -134,6 +165,7 @@ WATCHED = ("behrend.verify", "behrend.render", "behrend.towers", "json")
     "argv,loaded",
     [
         (("nu", "(x^2,y^3)"), []),
+        (("length", "m^4"), []),
         (("nu", "tower(x; g=y; exps=[1, 3])"), ["behrend.towers"]),
         (("fan", "(x^2, x y^2, y^3)"), ["behrend.render"]),
         (("length", "(x^2,y^3)", "--format", "json"), ["json"]),

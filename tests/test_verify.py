@@ -21,9 +21,8 @@ from behrend.verify import (
     pairwise_meet_nu,
     random_complete_pair,
     random_ideal,
-    random_monomial_tower_product,
     random_normal_ideal,
-    random_tangent_tower_product,
+    random_tower_product,
     run_all,
     summarize,
 )
@@ -94,7 +93,7 @@ def test_random_generators_produce_valid_instances():
         from behrend import is_normal
 
         assert is_normal(normal)
-        product = random_monomial_tower_product(rng, 7)
+        product = random_tower_product(rng, 4, False)
         assert product.all_monomial
 
 
@@ -195,11 +194,11 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
     import behrend.verify
 
     rng = random.Random(11)
-    products = [random_tangent_tower_product(rng, 7) for _ in range(60)]
+    products = [random_tower_product(rng, 3, True) for _ in range(60)]
     products.append(  # random draws seldom hold a complete non-monomial pair
         TowerProduct([make_tower("x", (), (1, 2)), make_tower("x", (0, 1), (1, 2, 3))])
     )
-    results = [_diagram_results(p)[0] for p in products]
+    results = [_diagram_results(p, "nu/diagram-consistency")[0] for p in products]
     checked = [r for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
     assert all(r.status == "pass" for r in checked)
     routed = [p for r, p in zip(results, products) if r.name == "nu/diagram-consistency"]
@@ -214,7 +213,7 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
         lambda product: engine(product)._replace(nu=engine(product).nu + 1),
     )
     for p in routed:
-        assert _diagram_results(p)[0].status == "fail"
+        assert _diagram_results(p, "nu/diagram-consistency")[0].status == "fail"
 
 
 def test_pairwise_meet_nu_matches_the_diagram():
@@ -222,8 +221,8 @@ def test_pairwise_meet_nu_matches_the_diagram():
     rng = random.Random(5)
     for _ in range(100):
         for product in (
-            random_monomial_tower_product(rng, 7),
-            random_tangent_tower_product(rng, 7),
+            random_tower_product(rng, 4, False),
+            random_tower_product(rng, 3, True),
             random_complete_pair(rng),
         ):
             assert pairwise_meet_nu(product) == build_dynkin(product).nu()
@@ -234,8 +233,8 @@ def test_pairwise_meet_length_matches_the_diagram():
     rng = random.Random(6)
     for _ in range(100):
         for product in (
-            random_monomial_tower_product(rng, 7),
-            random_tangent_tower_product(rng, 7),
+            random_tower_product(rng, 4, False),
+            random_tower_product(rng, 3, True),
             random_complete_pair(rng),
         ):
             assert pairwise_meet_length(product) == build_dynkin(product).length()
@@ -267,8 +266,8 @@ def test_contraction_check_failure_is_reported(monkeypatch):
 
     monkeypatch.setattr(behrend.towers, "_check_contraction_degrees", broken)
     rng = random.Random(0)
-    products = [random_tangent_tower_product(rng, 7) for _ in range(10)]
-    results = [r for p in products for r in _diagram_results(p)]
+    products = [random_tower_product(rng, 3, True) for _ in range(10)]
+    results = [r for p in products for r in _diagram_results(p, "nu/diagram-consistency")]
     assert all(
         r.name == "nu/contraction-degrees" and r.status == "fail" for r in results
     )
