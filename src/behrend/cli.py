@@ -3,10 +3,18 @@
 Exit codes: 0 success, 1 syntax error (with caret diagnostics), 2 domain
 error (not finite colength, unit ideal, non-normal input to a normal-only
 command, failed verification) or an --svg path that cannot be written,
-3 unsupported combination (no engine covers the request), 141 standard
-output closed by its reader before all output was written (128 + SIGPIPE,
-what a shell reports for a writer the signal stops; no traceback is
-printed).
+3 unsupported combination (no engine covers the request) or a request
+above a cap (a product with a non-normal base whose expansion could exceed
+expr.EXPANSION_CAP generators, a closure of more than NORMALIZE_CAP
+generators, a staircase of more than FERRERS_CAP columns in JSON or grid
+cells in text and SVG), 141 standard output closed by its reader before
+all output was written (128 + SIGPIPE, what a shell reports for a writer
+the signal stops; no traceback is printed).
+
+Every monomial command but `dynkin` answers a product of normal atoms from
+the sum of their Newton polygons (expr.Elaborated.polygon) and any other
+monomial product from its capped expansion; `normalize` reads the sum for
+every product.
 """
 
 from __future__ import annotations
@@ -20,9 +28,9 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError, UnsupportedError
 from .expr import factors_text, ideal_text, parse
-from .newton import integral_closure, is_normal
-from .normal_factor import factor_normal, fan_of
-from .nu import nu_monomial
+from .newton import closure_size, is_normal, newton_polygon, polygon_closure, polygon_colength
+from .normal_factor import factor_normal, factors_fan, polygon_factors
+from .nu import nu_monomial, nu_normal
 
 if TYPE_CHECKING:
     from .ideals import MonomialIdeal
@@ -35,6 +43,10 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 EXIT_BROKEN_PIPE = 141
+# Output caps: normalize prints at most this many generators, ferrers at
+# most this many columns in JSON and grid cells in text and SVG.
+NORMALIZE_CAP = 1_000_000
+FERRERS_CAP = 1_000_000
 
 
 def _envelope(kind: str, payload: dict) -> str:
@@ -134,71 +146,17 @@ def _run_command(args) -> int:
 
     elaborated = parse(args.expr)
 
-    if args.command == "length":
-        if elaborated.is_monomial:
-            value = elaborated.require_ideal().require_fat_point().colength()
+    if args.command in ("length", "nu") and not elaborated.is_monomial:
+        from .towers import noncomplete_product_nu, product_length
+
+        product = elaborated.require_towers()
+        if args.command == "length":
+            value = product_length(product)
+            print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
+        elif as_json:
+            print(_envelope("nu", dynkin_json(noncomplete_product_nu(product))))
         else:
-            from .towers import product_length
-
-            value = product_length(elaborated.require_towers())
-        print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
-        return 0
-
-    if args.command == "nu":
-        if elaborated.is_monomial:
-            report = nu_monomial(elaborated.require_ideal())
-            print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
-        else:
-            from .towers import noncomplete_product_nu
-
-            summary = noncomplete_product_nu(elaborated.require_towers())
-            if as_json:
-                print(_envelope("nu", dynkin_json(summary)))
-            else:
-                print(_summary_text(summary))
-        return 0
-
-    if args.command == "normalize":
-        closure = integral_closure(elaborated.require_ideal().require_fat_point())
-        print(_envelope("ideal", ideal_json(closure)) if as_json else ideal_text(closure))
-        return 0
-
-    if args.command == "normal?":
-        normal = is_normal(elaborated.require_ideal().require_fat_point())
-        if as_json:
-            print(_envelope("normal", {"normal": normal}))
-        else:
-            print("normal" if normal else "not normal")
-        return 0
-
-    if args.command == "factor":
-        factors = factor_normal(elaborated.require_ideal())
-        if as_json:
-            atoms = [{"alpha": f.alpha, "beta": f.beta, "delta": f.delta} for f in factors]
-            print(_envelope("factorization", {"factors": atoms}))
-        else:
-            print(factors_text(factors))
-        return 0
-
-    if args.command == "fan":
-        from . import render
-
-        fan = fan_of(elaborated.require_ideal())
-        if args.svg:
-            _write_svg(args.svg, render.fan_svg(fan))
-        print(_envelope("fan", fan_json(fan)) if as_json else render.fan_text(fan))
-        return 0
-
-    if args.command == "ferrers":
-        from . import render
-
-        diagram = elaborated.require_ideal().require_fat_point().ferrers()
-        if args.svg:
-            _write_svg(args.svg, render.ferrers_svg(diagram))
-        if as_json:
-            print(_envelope("ferrers", {"column_heights": diagram.column_heights}))
-        else:
-            print(render.ferrers_text(diagram))
+            print(_summary_text(noncomplete_product_nu(product)))
         return 0
 
     if args.command == "dynkin":
@@ -215,7 +173,79 @@ def _run_command(args) -> int:
             print(render.dynkin_dot(summary.diagram, product))
         return 0
 
+    # A product of normal atoms is answered from the sum of their polygons,
+    # any other product from its expansion.  The polygon of a closure is
+    # that sum whether the bases are normal or not.
+    polygon = elaborated.polygon(normal=args.command != "normalize")
+    ideal = None if polygon else elaborated.require_ideal()
+
+    if args.command == "normalize":
+        polygon = polygon or newton_polygon(ideal.require_fat_point())
+        _check_output(closure_size(polygon), NORMALIZE_CAP, "the closure", "generators")
+        closure = polygon_closure(polygon)
+        print(_envelope("ideal", ideal_json(closure)) if as_json else ideal_text(closure))
+        return 0
+
+    if args.command == "length":
+        value = polygon_colength(polygon) if polygon else ideal.require_fat_point().colength()
+        print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
+        return 0
+
+    if args.command == "nu":
+        report = nu_normal(polygon) if polygon else nu_monomial(ideal)
+        print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
+        return 0
+
+    if args.command == "normal?":
+        normal = polygon is not None or is_normal(ideal.require_fat_point())
+        if as_json:
+            print(_envelope("normal", {"normal": normal}))
+        else:
+            print("normal" if normal else "not normal")
+        return 0
+
+    if args.command == "factor":
+        factors = polygon_factors(polygon) if polygon else factor_normal(ideal)
+        if as_json:
+            atoms = [{"alpha": f.alpha, "beta": f.beta, "delta": f.delta} for f in factors]
+            print(_envelope("factorization", {"factors": atoms}))
+        else:
+            print(factors_text(factors))
+        return 0
+
+    if args.command == "fan":
+        from . import render
+
+        fan = factors_fan(polygon_factors(polygon) if polygon else factor_normal(ideal))
+        if args.svg:
+            _write_svg(args.svg, render.fan_svg(fan))
+        print(_envelope("fan", fan_json(fan)) if as_json else render.fan_text(fan))
+        return 0
+
+    if args.command == "ferrers":
+        from . import render
+
+        a0, b0 = (polygon.vertices[0][0], polygon.vertices[-1][1]) if polygon else (
+            ideal.require_fat_point().x_power, ideal.y_power)
+        if as_json and not args.svg:
+            _check_output(a0, FERRERS_CAP, "the staircase", "columns")
+        else:
+            _check_output(a0 * b0, FERRERS_CAP, "the staircase grid", "cells")
+        diagram = (polygon_closure(polygon) if polygon else ideal).ferrers()
+        if args.svg:
+            _write_svg(args.svg, render.ferrers_svg(diagram))
+        if as_json:
+            print(_envelope("ferrers", {"column_heights": diagram.column_heights}))
+        else:
+            print(render.ferrers_text(diagram))
+        return 0
+
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _check_output(size: int, cap: int, what: str, unit: str) -> None:
+    if size > cap:
+        raise UnsupportedError(f"{what} has {size} {unit}, above the output cap of {cap}")
 
 
 def _run_verify(args) -> int:

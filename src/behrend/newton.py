@@ -10,14 +10,21 @@ Only the polygon's vertices enter the computations, never a scan over the
 columns of the staircase: the closure's colength and normality cost
 O(#generators), the closure itself O(#output generators).  Each ideal builds
 its polygon once and keeps it, and a closure is emitted canonical with its
-polygon i * Q_I attached, so nu, normal? and factor of n(a, b) cost one
-closure walk plus one staircase pass.  The second routes that verify checks
-these against, the definitional closure oracle and the staircase shape
-conditions of normal ideals, live in verify.
+polygon attached.
+
+The polygon of a product is the Minkowski sum of its factors' polygons
+(polygon_sum), and a product of normal ideals is normal (Zariski), so the
+command line answers a product of normal atoms from the sum without
+multiplying it out: polygon_colength is its length, polygon_closure walks
+its generators only when they are printed, and closure_size counts them
+first.  The second routes that verify checks these against, the expansion,
+the definitional closure oracle and the staircase shape conditions of
+normal ideals, live in verify.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from math import gcd
 from typing import NamedTuple
 
@@ -97,40 +104,77 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
     return polygon
 
 
-def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
-    """Integral closure of the i-th power: minimal lattice points of i * Q_I.
+def polygon_sum(terms) -> NewtonPolygon:
+    """Newton polygon of a product of powers, from its (Q_k, d_k) pairs.
 
-    Each scaled edge is walked along the shorter of its width and height.
-    Over a steep edge every column carries a generator, the least b above
-    the supporting line; over a flat edge every row carries one, the least
-    a to the right of it.  Both are exact ceilings stepping by at least 1,
-    so walking by ascending a emits the generators canonical, in
-    O(#output generators + #edges), with no rational hull.
+    The polygon of IJ is Q_I + Q_J for every I and J, so the product's
+    polygon is the Minkowski sum of the d_k * Q_k: the bases' edges merged
+    by inward ray, lattice lengths scaled by d_k and summed, walked from
+    (sum of d_k * a0_k, 0) by increasing beta/alpha.  The records equal
+    newton_polygon of the multiplied-out product; O(#edges log #edges),
+    whatever the exponents d_k.
     """
+    lengths: dict[tuple[int, int], int] = {}
+    a0 = 0
+    for polygon, d in terms:
+        a0 += d * polygon.vertices[0][0]
+        for edge in polygon.edges:
+            ray = edge.inward_ray
+            lengths[ray] = lengths.get(ray, 0) + d * edge.lattice_length
+    vertices = [(a0, 0)]
+    edges = []
+    for beta, alpha in sorted(lengths, key=cmp_to_key(lambda r, s: r[0] * s[1] - s[0] * r[1])):
+        length = lengths[beta, alpha]
+        if not length:  # a zeroth power
+            continue
+        start = vertices[-1]
+        end = (start[0] - length * alpha, start[1] + length * beta)
+        edges.append(Edge(start, end, (-alpha, beta), length, (beta, alpha)))
+        vertices.append(end)
+    return NewtonPolygon(tuple(vertices), tuple(edges))
+
+
+def closure_size(polygon: NewtonPolygon) -> int:
+    """Generator count of polygon_closure: one per step of each edge along
+    the shorter of its width and height, plus the last vertex."""
+    return 1 + sum(
+        min(e.start[0] - e.end[0], e.end[1] - e.start[1]) for e in polygon.edges
+    )
+
+
+def polygon_closure(polygon: NewtonPolygon) -> MonomialIdeal:
+    """The normal ideal of a polygon: its minimal lattice points.
+
+    Each edge is walked along the shorter of its width and height.  Over a
+    steep edge every column carries a generator, the least b above the
+    supporting line; over a flat edge every row carries one, the least a to
+    the right of it.  Both are exact ceilings stepping by at least 1, so
+    walking by ascending a emits the generators canonical, in
+    O(closure_size + #edges), with no rational hull.
+    """
+    gens = []
+    for edge in reversed(polygon.edges):
+        beta, alpha = edge.inward_ray
+        value = edge.support_value
+        (a_start, b_start), (a_end, b_end) = edge.start, edge.end
+        gens.append(edge.end)
+        if (a_start - a_end) <= (b_end - b_start):
+            gens += [(a, -((beta * a - value) // alpha)) for a in range(a_end + 1, a_start)]
+        else:
+            gens += [(-((alpha * b - value) // beta), b) for b in range(b_end - 1, b_start, -1)]
+    gens.append(polygon.vertices[0])
+    return MonomialIdeal._canonical(gens, polygon)
+
+
+def closure_power(ideal: MonomialIdeal, i: int) -> MonomialIdeal:
+    """Integral closure of the i-th power: minimal lattice points of i * Q_I,
+    emitted canonical with that polygon attached."""
     if i < 0:
         raise DomainError("negative powers are undefined")
     if i == 0:
         return UNIT_IDEAL
     polygon = newton_polygon(ideal)
-    gens = []
-    for edge in reversed(polygon.edges):
-        beta, alpha = edge.inward_ray
-        value = i * edge.support_value
-        (a_start, b_start), (a_end, b_end) = edge.start, edge.end
-        gens.append((i * a_end, i * b_end))
-        if (a_start - a_end) <= (b_end - b_start):
-            columns = range(i * a_end + 1, i * a_start)
-            gens += [(a, -((beta * a - value) // alpha)) for a in columns]
-        else:
-            rows = range(i * b_end - 1, i * b_start, -1)
-            gens += [(-((alpha * b - value) // beta), b) for b in rows]
-    gens.append((i * polygon.vertices[0][0], i * polygon.vertices[0][1]))
-    if i > 1:  # same rays and primitive steps, i times longer
-        edges = [Edge((i * e.start[0], i * e.start[1]), (i * e.end[0], i * e.end[1]),
-                      e.primitive_step, i * e.lattice_length, e.inward_ray)
-                 for e in polygon.edges]
-        polygon = NewtonPolygon(tuple((i * a, i * b) for a, b in polygon.vertices), tuple(edges))
-    return MonomialIdeal._canonical(gens, polygon)
+    return polygon_closure(polygon if i == 1 else polygon_sum(((polygon, i),)))
 
 
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
@@ -139,15 +183,19 @@ def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def closure_colength(ideal: MonomialIdeal) -> int:
-    """Colength of the integral closure, from the polygon boundary alone.
+    """Colength of the integral closure, from the polygon boundary alone."""
+    return polygon_colength(newton_polygon(ideal))
+
+
+def polygon_colength(polygon: NewtonPolygon) -> int:
+    """Colength of polygon_closure(polygon), by Pick's theorem.
 
     The closure's complement is the set of first-quadrant lattice points
-    strictly below the boundary of Q_I.  Pick's theorem counts them as
+    strictly below the boundary, counted as
     (2 * Area + a0 + b0 - sum of the edges' lattice lengths) / 2, which
     specializes to (ab + a + b - gcd(a, b)) / 2 for a single edge
-    (a,0)-(0,b).  Valid for every finite-colength ideal; O(#generators).
+    (a,0)-(0,b).  O(#edges).
     """
-    polygon = newton_polygon(ideal)
     a0 = polygon.vertices[0][0]
     b0 = polygon.vertices[-1][1]
     total = a0 + b0

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, complete_intersection
-from .newton import integral_closure, is_normal, newton_polygon
+from .newton import NewtonPolygon, is_normal, newton_polygon, polygon_closure
 
 
 class _Atom(NamedTuple):
@@ -43,13 +43,27 @@ class NabFactor(_Atom):
     def ray(self) -> tuple[int, int]:
         return (self.beta, self.alpha)
 
+    @property
+    def polygon(self) -> NewtonPolygon:
+        """Polygon of n_ab(delta * alpha, delta * beta): one edge of lattice
+        length delta, without the closure's generators."""
+        a, b = self.delta * self.alpha, self.delta * self.beta
+        return newton_polygon(complete_intersection(a, b))
+
 
 def n_ab(alpha: int, beta: int) -> MonomialIdeal:
     """Integral closure of (x^alpha, y^beta): the normal ideal whose polygon
     is the single segment (alpha,0)-(0,beta)."""
+    return polygon_closure(nab_atom(alpha, beta).polygon)
+
+
+def nab_atom(alpha: int, beta: int) -> NabFactor:
+    """n(alpha, beta) as the atom power n_{alpha/g, beta/g}^g, g = gcd(alpha, beta),
+    without its generators."""
     if alpha < 1 or beta < 1:
         raise DomainError("n_ab needs positive exponents")
-    return integral_closure(complete_intersection(alpha, beta))
+    g = gcd(alpha, beta)
+    return NabFactor(alpha // g, beta // g, g)
 
 
 def factor_normal(ideal: MonomialIdeal) -> tuple[NabFactor, ...]:
@@ -62,12 +76,15 @@ def factor_normal(ideal: MonomialIdeal) -> tuple[NabFactor, ...]:
     ideal.require_fat_point()
     if not is_normal(ideal):
         raise DomainError("only normal ideals factor into n_ab atoms; normalize first")
-    factors = []
-    for edge in reversed(newton_polygon(ideal).edges):
-        alpha = -edge.primitive_step[0]
-        beta = edge.primitive_step[1]
-        factors.append(NabFactor(alpha=alpha, beta=beta, delta=edge.lattice_length))
-    return tuple(factors)
+    return polygon_factors(newton_polygon(ideal))
+
+
+def polygon_factors(polygon: NewtonPolygon) -> tuple[NabFactor, ...]:
+    """The factorization of the normal ideal of a polygon, one factor per edge."""
+    return tuple(
+        NabFactor(-edge.primitive_step[0], edge.primitive_step[1], edge.lattice_length)
+        for edge in reversed(polygon.edges)
+    )
 
 
 class Cone(NamedTuple):
@@ -110,7 +127,11 @@ def fan_of(ideal: MonomialIdeal) -> Fan:
     e2; consecutive pairs span the maximal cones, annotated with their index
     and singularity type.
     """
-    factors = factor_normal(ideal)
+    return factors_fan(factor_normal(ideal))
+
+
+def factors_fan(factors) -> Fan:
+    """Fan of the blowup of the normal ideal with these factors."""
     rays = [(1, 0)] + [f.ray for f in factors] + [(0, 1)]
     cones = []
     for u, v in zip(rays, rays[1:]):

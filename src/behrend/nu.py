@@ -14,6 +14,14 @@ The Behrend number is the sum of d*e over the edges.  The gcd rule for d is
 empirical: it reproduces every reference value in the test suite and is
 pinned against the independent tower engine by the verify module, which
 also holds the closed forms nu_lci and nu_power_rule checked against it.
+
+Two routes share the edge-to-record step.  nu_monomial reads d off the
+generators and the length off the staircase of an explicit ideal; the
+`nu` command calls it for a lone generator list and, after multiplying it
+out, for a product with a non-normal base.  A product of normal atoms is normal (Zariski), so every
+d is 1 and nu_normal reads the whole report off the summed polygon, with
+Pick's count for the length; verify's nu/normal-product holds the two
+routes to each other.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .ideals import MonomialIdeal
-from .newton import Edge, is_normal, newton_polygon
+from .newton import Edge, NewtonPolygon, is_normal, newton_polygon, polygon_colength
 
 
 class ComponentRecord(NamedTuple):
@@ -40,27 +48,38 @@ class BehrendReport(NamedTuple):
     normal: bool
 
 
+def _report(polygon: NewtonPolygon, degrees, length: int, normal: bool) -> BehrendReport:
+    components = tuple(
+        ComponentRecord(edge, edge.support_value, d) for edge, d in zip(polygon.edges, degrees)
+    )
+    return BehrendReport(sum(c.d * c.e for c in components), length, components, normal)
+
+
 def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
     """Behrend number, length and per-edge breakdown of a monomial fat point.
 
     Components are listed in polygon order (decreasing edge slope).  For
     non-normal ideals distinct edges are reported as distinct exceptional
     components, which is only an upper bound on their number; the total nu
-    does not depend on that identification.
+    does not depend on that identification.  d is read off the generators
+    and the length off the staircase, so verify can hold nu_normal to this.
     """
     ideal.require_fat_point()
-    components = []
-    for edge in newton_polygon(ideal).edges:
+    polygon = newton_polygon(ideal)
+    degrees = []
+    for edge in polygon.edges:
         beta, alpha = edge.inward_ray
         e = edge.support_value
         d = 0
         for g in ideal.generators:
             if beta * g[0] + alpha * g[1] == e:
                 d = gcd(d, edge.position_of(g))
-        components.append(ComponentRecord(edge=edge, e=e, d=d))
-    return BehrendReport(
-        nu=sum(c.d * c.e for c in components),
-        length=ideal.colength(),
-        components=tuple(components),
-        normal=is_normal(ideal),
-    )
+        degrees.append(d)
+    return _report(polygon, degrees, ideal.colength(), is_normal(ideal))
+
+
+def nu_normal(polygon: NewtonPolygon) -> BehrendReport:
+    """The report of nu_monomial for the normal ideal of a polygon, from the
+    polygon alone: every edge's lattice points are generators, so d = 1, and
+    the length is Pick's count.  O(#edges), whatever the exponents."""
+    return _report(polygon, [1] * len(polygon.edges), polygon_colength(polygon), True)

@@ -28,6 +28,12 @@ and oracles that only these checks call:
                              expansion, tower_length, two_tower_length for a
                              complete cross pair, or else
                              pairwise_meet_length (mixed multiplicities)
+  nu/normal-product, factor/normal-product, closure/normal-product
+                             the summed-polygon routes (nu_normal,
+                             polygon_factors, polygon_closure) against
+                             nu_monomial, factor_normal and integral_closure
+                             of the multiplied-out product, on random
+                             products of powers of normal atoms
   closure/definitional       integral_closure against integral_closure_oracle
   closure/normal-staircase-conditions
                              staircase_conditions on every normal ideal drawn
@@ -53,11 +59,11 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
-from .expr import ideal_text, product_text, tower_text
+from .expr import ideal_text, parse, product_text, tower_text
 from .ideals import MAXIMAL_IDEAL, MonomialIdeal, complete_intersection
-from .newton import closure_colength, integral_closure, is_normal
-from .normal_factor import n_ab
-from .nu import nu_monomial
+from .newton import closure_colength, integral_closure, is_normal, polygon_closure
+from .normal_factor import factor_normal, n_ab, polygon_factors
+from .nu import nu_monomial, nu_normal
 from .towers import (
     BRANCHES,
     Factor,
@@ -105,6 +111,7 @@ class Bounds(NamedTuple):
     pair_height_max: int = 8
     nab_max: int = 12
     balanced_pair_max: int = 10
+    normal_products: int = 20
 
 
 PRESETS = {
@@ -119,6 +126,7 @@ PRESETS = {
         pair_height_max=5,
         nab_max=6,
         balanced_pair_max=6,
+        normal_products=4,
     ),
 }
 
@@ -559,6 +567,49 @@ def pairwise_meet_length(product: TowerProduct) -> int:
     return sum(k for _, k in factors) + sum(min(k, l, depth[i][j]) for (i, k), (j, l) in pairs)
 
 
+def random_normal_product(rng: random.Random, bounds: Bounds) -> str:
+    """Text of a product of one to three powers, d <= POWER_MAX, of normal
+    atoms: n(a, b) with a, b <= nab_max, m, monomial towers and normal
+    generator lists."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            atom = f"n({rng.randint(1, bounds.nab_max)},{rng.randint(1, bounds.nab_max)})"
+        elif kind == 1:
+            atom = "m"
+        elif kind == 2:
+            exps = sorted(rng.sample(range(1, TOWER_EXPONENT_MAX + 1), rng.randint(1, 3)))
+            atom = tower_text(make_tower(rng.choice(BRANCHES), (), exps))
+        else:
+            atom = ideal_text(random_normal_ideal(rng, RANDOM_BOX))
+        d = rng.randint(1, POWER_MAX)
+        factors.append(atom if d == 1 else f"{atom}^{d}")
+    return " * ".join(factors)
+
+
+def check_normal_products(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
+    """The summed-polygon routes of the command line against the multiplied-out
+    product: the nu report (d, length and normality included), the
+    factorization and the closure."""
+    results = []
+    for _ in range(bounds.normal_products):
+        text = random_normal_product(rng, bounds)
+        elaborated = parse(text)
+        polygon = elaborated.polygon(normal=False)  # the sum, lone lists included
+        ideal = elaborated.require_ideal()
+        results += [
+            CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),
+            CheckResult.compare(
+                "factor/normal-product", text, factor_normal(ideal), polygon_factors(polygon)
+            ),
+            CheckResult.compare(
+                "closure/normal-product", text, integral_closure(ideal), polygon_closure(polygon)
+            ),
+        ]
+    return results
+
+
 def check_m_power() -> list[CheckResult]:
     """tower_times_m_power against the staircase count and the edge formula
     on the expanded ideal K * m^n."""
@@ -679,6 +730,7 @@ def run_all(seed: int = 0, bounds: Bounds | None = None) -> list[CheckResult]:
     results.extend(check_closure(rng, bounds))
     for _ in range(bounds.tangent_products // 5):
         results.extend(_diagram_results(random_complete_pair(rng), "nu/diagram-consistency"))
+    results.extend(check_normal_products(rng, bounds))  # last: earlier draws stay as they were
     return sorted(results, key=lambda r: (r.name, r.instance))
 
 

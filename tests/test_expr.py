@@ -9,6 +9,7 @@ from behrend import (
     DomainError,
     Factor,
     MonomialIdeal,
+    NabFactor,
     ParseError,
     TowerProduct,
     UnsupportedError,
@@ -72,8 +73,10 @@ class TestParsing:
             value.require_towers()
 
     def test_power_kept_unexpanded(self):
+        # n(a,b) stays the atom n(a/g, b/g)^g, g = gcd(a, b), its generators unbuilt
         (term,) = parse("n(99,99)^99").terms
-        assert term == (n_ab(99, 99), 99)
+        assert term == (NabFactor(1, 1, 99), 99)
+        assert parse("n(4,6)^3").require_ideal() == n_ab(12, 18)
 
     def test_parse_multiplies_nothing(self, monkeypatch):
         def refuse(*args):

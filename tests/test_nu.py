@@ -8,14 +8,24 @@ from behrend import (
     DomainError,
     MonomialIdeal,
     UNIT_IDEAL,
+    UnsupportedError,
     complete_intersection,
     component_count,
+    factor_normal,
+    ideal_text,
+    integral_closure,
+    is_normal,
     n_ab,
     newton_polygon,
     nu_lci,
     nu_monomial,
     nu_power_rule,
+    parse,
 )
+from behrend.expr import EXPANSION_CAP
+from behrend.newton import polygon_closure
+from behrend.normal_factor import polygon_factors
+from behrend.nu import nu_normal
 
 
 def ideal(*gens):
@@ -209,3 +219,60 @@ class TestTransposeSymmetry:
                 (f.beta, f.alpha, f.delta) for f in factor_normal(T)
             )
             assert direct == swapped
+
+
+class TestPolygonRoute:
+    """Products of normal atoms are answered from their summed polygon; a
+    product with a non-normal base from its expansion."""
+
+    @pytest.mark.parametrize(
+        "text,normal_atoms,nu",
+        [
+            # m^8, normal, but its base is not, so only the expansion answers
+            ("(x^4, x^3 y, x y^3, y^4)^2", False, 8),
+            # polygon (5,0)-(4,1)-(0,7): e = 5 on ray (1, 1), 14 on ray (3, 2)
+            ("n(2,3)^2 * m", True, 19),
+            # twice the tower's nu: rays (1, 1) and (3, 1), each of lattice length 2
+            ("tower(x; g=0; exps=[1, 3])^2", True, 12),
+        ],
+    )
+    def test_hand_cases(self, text, normal_atoms, nu):
+        elaborated = parse(text)
+        ideal = elaborated.require_ideal()
+        assert is_normal(ideal)
+        polygon = elaborated.polygon()
+        assert (polygon is not None) == normal_atoms
+        report = nu_normal(polygon) if polygon else nu_monomial(ideal)
+        assert report == nu_monomial(ideal)
+        assert report.nu == nu
+        closure = polygon_closure(elaborated.polygon(normal=False))
+        assert closure == integral_closure(ideal) == ideal
+        if polygon:
+            assert polygon == newton_polygon(ideal)
+            assert polygon_factors(polygon) == factor_normal(ideal)
+
+    def test_normalize_of_non_normal_bases_reads_the_sum(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            parts = [random_fat_ideal(rng, 5) for _ in range(rng.randint(1, 3))]
+            text = " * ".join(f"{ideal_text(p)}^{rng.randint(1, 3)}" for p in parts)
+            elaborated = parse(text)
+            ideal = elaborated.require_ideal()
+            polygon = elaborated.polygon(normal=False)
+            assert polygon == newton_polygon(ideal), text
+            assert polygon_closure(polygon) == integral_closure(ideal), text
+
+    def test_expansion_cap_bounds_the_generators(self):
+        # (x^2, y^2)^d has d + 1 generators: 999 is under the cap, 1000 over it
+        assert len(parse(f"(x^2, y^2)^{EXPANSION_CAP - 1}").require_ideal().generators) == (
+            EXPANSION_CAP
+        )
+        with pytest.raises(UnsupportedError, match=f"expansion cap of {EXPANSION_CAP}"):
+            parse(f"(x^2, y^2)^{EXPANSION_CAP}").require_ideal()
+        # nothing to multiply, nothing to cap
+        many = MonomialIdeal((a, 2 * EXPANSION_CAP - a) for a in range(2 * EXPANSION_CAP + 1))
+        assert parse(ideal_text(many)).require_ideal() == many
+
+    def test_unit_product_is_no_fat_point(self):
+        with pytest.raises(DomainError, match="unit ideal"):
+            parse("m^0 * (1)").polygon()

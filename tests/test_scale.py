@@ -99,6 +99,64 @@ def test_dynkin_of_monomial_tower_pair_skips_the_ideal():
     assert payload["nu"] == 2 * h + 2 * chain
 
 
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (("nu", "m^1000000"), "nu = 1000000"),
+        (("length", "m^1000000"), "length = 500000500000"),
+        (("nu", "n(99,99)^99"), "nu = 9801"),
+    ],
+)
+def test_powers_of_normal_atoms_read_the_polygon(argv, first):
+    assert behrend(*argv).splitlines()[0] == first
+
+
+def refusing(methods: str, argv) -> str:
+    """Code for a child that runs main(argv) with the named MonomialIdeal
+    methods raising, and prints its exit code last."""
+    return (
+        "from behrend.ideals import MonomialIdeal\n"
+        "def refuse(*args): raise AssertionError('refused call')\n"
+        f"for name in {methods.split()!r}: setattr(MonomialIdeal, name, refuse)\n"
+        "from behrend.cli import main\n"
+        f"print(main({list(argv)!r}))\n"
+    )
+
+
+def test_monomial_tower_products_are_not_multiplied_out():
+    from behrend.verify import make_tower, two_tower_length, two_tower_nu
+
+    h = 2000
+    exps = ", ".join(map(str, range(1, h + 1)))
+    text = f"tower(x; g=0; exps=[{exps}]) * tower(y; g=0; exps=[{exps}])"
+    kx, ky = make_tower("x", (), range(1, h + 1)), make_tower("y", (), range(1, h + 1))
+    for command, value in (("length", two_tower_length(kx, ky)), ("nu", two_tower_nu(kx, ky))):
+        out = python(refusing("__mul__ __pow__", [command, text]))
+        assert out.splitlines()[0] == f"{command} = {value}"
+        assert out.splitlines()[-1] == "0"
+
+
+def test_dynkin_refuses_n_ab_without_its_closure():
+    # every closure walk, the one n_ab takes included, ends in _canonical
+    out = python(refusing("_canonical", ["dynkin", "n(50816,50009)"]))
+    assert out.splitlines()[-1] == "3"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("nu", "(x^2, y^2)^1000000"), "the expansion cap of 1000 generators"),
+        (("ferrers", "(x^100000000, y)"), "the output cap of 1000000"),
+        (("ferrers", "(x^100000000, y)", "--format", "json"), "the output cap of 1000000"),
+        (("normalize", "m^100000000"), "the output cap of 1000000"),
+    ],
+)
+def test_caps_refuse_with_exit_3(argv, message):
+    done = child(*argv)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert message in done.stderr
+
+
 def test_sparse_tower_chain():
     assert behrend("nu", SPARSE).startswith("nu = 10003\n")
 
