@@ -14,12 +14,15 @@ polygon attached.
 
 The polygon of a product is the Minkowski sum of its factors' polygons
 (polygon_sum), and a product of normal ideals is normal (Zariski), so the
-command line answers a product of normal atoms from the sum without
-multiplying it out: polygon_colength is its length, polygon_closure walks
-its generators only when they are printed, and closure_size counts them
-first.  The second routes that verify checks these against, the expansion,
-the definitional closure oracle and the staircase shape conditions of
-normal ideals, live in verify.
+command line answers `length`, `nu`, `normal?`, `factor`, `fan` and
+`ferrers` of a product of normal atoms from the sum without multiplying it
+out: polygon_colength is its length, polygon_closure walks its generators
+only when they are printed, and closure_size counts them first.
+`normalize` walks the sum of any product; the other commands multiply a
+product with a non-normal base out, under expr.EXPANSION_CAP, and read the
+polygon of the result with newton_polygon.  The second routes that verify
+checks these against, the expansion, the definitional closure oracle and
+the staircase shape conditions of normal ideals, live in verify.
 """
 
 from __future__ import annotations
