@@ -316,6 +316,23 @@ class TestOutputsAndEnv:
         text = target.read_text()
         assert "http://" not in text.replace("http://www.w3.org/2000/svg", "")
 
+    @pytest.mark.parametrize(
+        "command", ["length", "nu", "normal?", "normalize", "factor", "fan", "ferrers"]
+    )
+    @pytest.mark.parametrize(
+        "expr",
+        ["n(2,3)^2 * m", "tower(x; g=0; exps=[1, 3])^2 * n(4,6)", "(x^2, x y, y^3)^3 * m^2"],
+    )
+    def test_polygon_route_prints_what_the_expansion_prints(self, capsys, command, expr):
+        # the expanded list stands alone, so it is read directly, not summed
+        from behrend import ideal_text, parse
+
+        expanded = ideal_text(parse(expr).require_ideal())
+        for fmt in ("text", "json"):
+            summed = run(capsys, command, expr, "--format", fmt)
+            assert summed[0] == 0
+            assert summed == run(capsys, command, expanded, "--format", fmt)
+
     def test_factor_roundtrip_through_parser(self, capsys):
         code, out, _ = run(capsys, "factor", "(x^6, x^4 y, x^2 y^2, x y^3, y^5)")
         from behrend import MonomialIdeal, parse
