@@ -30,6 +30,12 @@ A command then reads the product one of three ways:
     and for the `length` and `nu` of non-monomial towers.
 A product mixing a non-monomial tower with a generator list or an n(a,b)
 has none of these forms and is rejected.
+
+The parser holds one token of lookahead and scans the next token at its
+position with one compiled regular expression.  A search for a character
+outside the grammar runs first, so that such a character is reported before
+any other error.  A tower's exponent list is read in one anchored match; the
+token loop reads it only when that match fails, to place the caret.
 """
 
 from __future__ import annotations
@@ -47,31 +53,20 @@ from .normal_factor import NabFactor, nab_atom
 if TYPE_CHECKING:  # towers is imported only where a tower form is built
     from .towers import Tower, TowerProduct
 
-# One alternative per token kind, in ASCII only; whitespace is skipped and
-# any other character, digits and letters outside ASCII included, is an error.
+# One alternative per token kind after optional whitespace, in ASCII only; the
+# empty `end` matches only at the end of the text, since _BAD is searched first.
 _TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|\s+|(?P<bad>.)"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|(?P<end>))"
 )
+_BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
+# A whole well-formed exponent list, from its first entry to before its "]"
+_EXPONENTS = re.compile(r"[0-9]+(?:\s*,\s*[0-9]+)*(?=\s*\])")
 
 
 class Token(NamedTuple):
-    kind: str  # "int", "name", or the symbol itself
+    kind: str  # "int", "name", "end", or the symbol itself
     value: str
     pos: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:  # whitespace
-            continue
-        value = match.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", text, match.start())
-        tokens.append(Token(value if kind == "symbol" else kind, value, match.start()))
-    tokens.append(Token("end", "", len(text)))
-    return tokens
 
 
 # Most generators require_ideal multiplies out.  The cost grows as the square
@@ -204,24 +199,28 @@ def _generator_bound(bases) -> int:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.index]
+        bad = _BAD.search(text)
+        if bad:
+            raise ParseError(f"unexpected character {bad.group()!r}", text, bad.start())
+        self.text, self.pos, self.token = text, 0, None
+        self.advance()
 
     def advance(self) -> Token:
-        token = self.tokens[self.index]
-        self.index += 1
+        """Consume the lookahead token and scan the next one at self.pos."""
+        token = self.token
+        match = _TOKEN.match(self.text, self.pos)
+        kind = match.lastgroup
+        value = match.group(kind)
+        self.token = Token(value if kind == "symbol" else kind, value, match.start(kind))
+        self.pos = match.end()
         return token
 
     def fail(self, message: str, token: Token | None = None):
-        token = token or self.peek()
+        token = token or self.token
         raise ParseError(message, self.text, token.pos)
 
     def expect(self, kind: str, what: str) -> Token:
-        if self.peek().kind != kind:
+        if self.token.kind != kind:
             self.fail(f"expected {what}")
         return self.advance()
 
@@ -232,26 +231,26 @@ class _Parser:
 
     def parse(self) -> Elaborated:
         value = self.expr()
-        if self.peek().kind != "end":
+        if self.token.kind != "end":
             self.fail("unexpected trailing input")
         return value
 
     def expr(self) -> Elaborated:
         terms = [self.factor()]
-        while self.peek().kind == "*":
+        while self.token.kind == "*":
             self.advance()
             terms.append(self.factor())
         return Elaborated(tuple(terms))
 
     def factor(self) -> tuple[MonomialIdeal | Tower | str, int]:
         atom = self.atom()
-        if self.peek().kind != "^":
+        if self.token.kind != "^":
             return atom, 1
         self.advance()
         return atom, self.expect_int("an integer exponent")
 
     def atom(self) -> MonomialIdeal | Tower | str:
-        token = self.peek()
+        token = self.token
         if token.kind == "(":
             return self.generator_list()
         if token.kind == "name" and token.value == "m":
@@ -272,14 +271,14 @@ class _Parser:
     def generator_list(self) -> MonomialIdeal:
         self.expect("(", "'('")
         gens = [self.monomial()]
-        while self.peek().kind == ",":
+        while self.token.kind == ",":
             self.advance()
             gens.append(self.monomial())
         self.expect(")", "')' closing the generator list")
         return MonomialIdeal(gens)
 
     def monomial(self) -> tuple[int, int]:
-        token = self.peek()
+        token = self.token
         if token.kind == "int":
             if token.value != "1":
                 self.fail("the only constant monomial is 1")
@@ -287,7 +286,7 @@ class _Parser:
             return (0, 0)
         exponents = {"x": None, "y": None}
         saw_variable = False
-        while self.peek().kind == "name":
+        while self.token.kind == "name":
             name = self.advance()
             for offset, letter in enumerate(name.value):
                 if letter == "z":
@@ -308,7 +307,7 @@ class _Parser:
                 exponents[letter] = 1
                 saw_variable = True
                 last = letter
-            if self.peek().kind == "^":
+            if self.token.kind == "^":
                 self.advance()
                 exponents[last] = self.expect_int("an integer exponent")
         if not saw_variable:
@@ -334,10 +333,16 @@ class _Parser:
             self.fail("expected 'exps'", key)
         self.expect("=", "'='")
         self.expect("[", "'['")
-        exps = [self.expect_int("an exponent")]
-        while self.peek().kind == ",":
+        listed = _EXPONENTS.match(self.text, self.token.pos)
+        if listed:  # the whole list in one match
+            self.pos = listed.end()
             self.advance()
-            exps.append(self.expect_int("an exponent"))
+            exps = [int(e) for e in listed.group().split(",")]
+        else:  # a malformed list: the token loop places the caret
+            exps = [self.expect_int("an exponent")]
+            while self.token.kind == ",":
+                self.advance()
+                exps.append(self.expect_int("an exponent"))
         self.expect("]", "']'")
         self.expect(")", "')' closing the tower")
         from .towers import make_tower
@@ -346,49 +351,56 @@ class _Parser:
 
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients
-        and zero constant term; returns dense coefficients of degree 1, 2, ..."""
+        and zero constant term; returns dense coefficients of degree 1, 2, ...,
+        refused before they are built when the degree exceeds the diagram cap."""
         coefficients: dict[int, Fraction] = {}
         while True:
-            sign = -1 if self.peek().kind == "-" else 1
-            if self.peek().kind in ("+", "-"):
+            sign = -1 if self.token.kind == "-" else 1
+            if self.token.kind in ("+", "-"):
                 self.advance()
-            coefficient, degree = self.tangent_term(variable)
-            coefficients[degree] = coefficients.get(degree, Fraction(0)) + sign * coefficient
-            if self.peek().kind not in ("+", "-"):
+            numerator, denominator, degree = self.tangent_term(variable)
+            term = Fraction(sign * numerator, denominator)
+            coefficients[degree] = coefficients[degree] + term if degree in coefficients else term
+            if self.token.kind not in ("+", "-"):
                 break
-        if coefficients.get(0, Fraction(0)) != 0:
+        if coefficients.get(0):
             self.fail("the tangent polynomial must vanish at 0")
-        top = max((d for d, c in coefficients.items() if c != 0), default=0)
-        return [coefficients.get(d, Fraction(0)) for d in range(1, top + 1)]
+        top = max((d for d, c in coefficients.items() if c), default=0)
+        from .towers import DIAGRAM_CAP
 
-    def tangent_term(self, variable: str) -> tuple[Fraction, int]:
-        coefficient = Fraction(1)
-        explicit_coefficient = False
-        if self.peek().kind == "int":
+        if top > DIAGRAM_CAP:
+            raise UnsupportedError(
+                f"the tangent has degree {top}, above the diagram cap of {DIAGRAM_CAP}"
+            )
+        zero = Fraction(0)
+        return [coefficients.get(d, zero) for d in range(1, top + 1)]
+
+    def tangent_term(self, variable: str) -> tuple[int, int, int]:
+        """Numerator, denominator and degree of one term."""
+        numerator = denominator = 1
+        explicit_coefficient = self.token.kind == "int"
+        if explicit_coefficient:
             numerator = self.expect_int("a coefficient")
-            denominator = 1
-            if self.peek().kind == "/":
+            if self.token.kind == "/":
                 self.advance()
                 denominator = self.expect_int("a denominator")
                 if denominator == 0:
                     self.fail("zero denominator")
-            coefficient = Fraction(numerator, denominator)
-            explicit_coefficient = True
-            if self.peek().kind == "*":
+            if self.token.kind == "*":
                 self.advance()
-        token = self.peek()
+        token = self.token
         if token.kind == "name":
             if token.value != variable:
                 self.fail(f"the tangent must be a polynomial in {variable!r}", token)
             self.advance()
             degree = 1
-            if self.peek().kind == "^":
+            if self.token.kind == "^":
                 self.advance()
                 degree = self.expect_int("an integer exponent")
-            return coefficient, degree
+            return numerator, denominator, degree
         if not explicit_coefficient:
             self.fail("expected a tangent term")
-        return coefficient, 0
+        return numerator, denominator, 0
 
 
 def parse(text: str) -> Elaborated:

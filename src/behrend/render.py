@@ -9,7 +9,7 @@ from .expr import tangent_text
 if TYPE_CHECKING:  # so that fan and ferrers do not import towers
     from .ideals import FerrersDiagram
     from .normal_factor import Fan
-    from .towers import DynkinDiagram, TowerProduct
+    from .towers import DynkinDiagram, DynkinNode, TowerProduct
 
 
 def ferrers_text(diagram: FerrersDiagram) -> str:
@@ -34,21 +34,19 @@ def fan_text(fan: Fan) -> str:
     return "\n".join(lines)
 
 
-def _node_label(diagram: DynkinDiagram, product: TowerProduct, index: int) -> str:
-    node = diagram.nodes[index]
-    names = []
-    for tower_index, exponent in node.factors:
-        tower = product.towers[tower_index]
-        if exponent == 1:
-            names.append("m")
-        else:
-            variable = "y" if tower.branch == "x" else "x"
-            g = tangent_text(tower.tangent, variable)
-            inner = tower.branch if g == "0" else f"{tower.branch} + {g}"
-            names.append(f"({inner}) + m^{exponent}")
-    label = ", ".join(names) if names else f"level {node.level}"
-    flag = "kept" if node.surviving else "contracted"
-    return f"{label}\\nself-int {node.self_intersection}, mult {node.multiplicity}, {flag}"
+def _label_prefixes(product: TowerProduct) -> list[str]:
+    """Each tower's factor label up to its exponent, "(x + g) + m^"."""
+    prefixes = []
+    for t in product.towers:
+        g = tangent_text(t.tangent, "y" if t.branch == "x" else "x")
+        prefixes.append(f"({t.branch}) + m^" if g == "0" else f"({t.branch} + {g}) + m^")
+    return prefixes
+
+
+def _node_label(node: DynkinNode, prefixes: list[str]) -> str:
+    """The node's factors, or its level when none attaches to it."""
+    names = ", ".join("m" if k == 1 else f"{prefixes[t]}{k}" for t, k in node.factors)
+    return names or f"level {node.level}"
 
 
 def dynkin_dot(diagram: DynkinDiagram, product: TowerProduct) -> str:
@@ -57,10 +55,12 @@ def dynkin_dot(diagram: DynkinDiagram, product: TowerProduct) -> str:
     by_level: dict[int, list[int]] = {}
     for node in diagram.nodes:
         by_level.setdefault(node.level, []).append(node.index)
+    prefixes = _label_prefixes(product)
     for node in diagram.nodes:
-        style = "" if node.surviving else ", style=dashed"
+        style, flag = ("", "kept") if node.surviving else (", style=dashed", "contracted")
         lines.append(
-            f'  n{node.index} [label="{_node_label(diagram, product, node.index)}"{style}];'
+            f'  n{node.index} [label="{_node_label(node, prefixes)}\\nself-int '
+            f'{node.self_intersection}, mult {node.multiplicity}, {flag}"{style}];'
         )
     for level in sorted(by_level):
         members = "; ".join(f"n{i}" for i in by_level[level])
@@ -137,6 +137,7 @@ def dynkin_svg(diagram: DynkinDiagram, product: TowerProduct) -> str:
             x = (column + 1) * step_x
             y = height - level * step_y
             position[index] = (x, y)
+    prefixes = _label_prefixes(product)
     body = []
     for a, b in diagram.edges:
         (xa, ya), (xb, yb) = position[a], position[b]
@@ -148,10 +149,8 @@ def dynkin_svg(diagram: DynkinDiagram, product: TowerProduct) -> str:
         body.append(
             f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" stroke="black"{dash}/>'
         )
-        label = _node_label(diagram, product, node.index).split("\\n")[0]
-        body.append(
-            f'<text x="{x + r + 4}" y="{y - 4}" font-size="11">{label}</text>'
-        )
+        label = _node_label(node, prefixes)
+        body.append(f'<text x="{x + r + 4}" y="{y - 4}" font-size="11">{label}</text>')
         body.append(
             f'<text x="{x + r + 4}" y="{y + 10}" font-size="11">'
             f"{node.self_intersection}, mult {node.multiplicity}</text>"

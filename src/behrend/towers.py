@@ -49,9 +49,16 @@ from .ideals import MonomialIdeal
 
 BRANCHES = ("x", "y")
 
+# Most nodes build_dynkin builds, and highest tangent degree the parser reads,
+# until the engine stores segments instead of nodes: the diagram of a tower
+# of height H has at least H nodes.  `nu` of the chain tower(x; g=y; exps=[1,
+# H]) takes, end to end on a 2-core host (median of 5 processes), 0.77 s at
+# H = 10^5 and 1.18 s at the cap; a quieter run read 0.49 s at 10^5.
+DIAGRAM_CAP = 150_000
+
 
 def _as_coefficients(tangent) -> tuple[Fraction, ...]:
-    coeffs = tuple(Fraction(c) for c in tangent)
+    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in tangent)
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     return coeffs
@@ -363,11 +370,21 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     exactly when a factor attaches to it (the completion's extra curves are
     contracted on the actual blowup).  The divisor-degree check runs on every
     diagram.  See the module docstring for the construction and its cost.
+    The nodes are counted from the classes at the event levels before any is
+    built, and more than DIAGRAM_CAP of them raise UnsupportedError.
     """
     towers = product.towers
     heights = [t.height for t in towers]
+    top = max(heights)
     order, depths = _agreement_order(towers)
-    events = set(heights) | set(depths)  # the runs change on the level after these
+    # the runs change only on the level after a height or an adjacent depth
+    starts = sorted({1} | {e + 1 for e in (*heights, *depths) if e < top})
+    runs_from = {r: _classes_at(r, order, depths, heights) for r in starts}
+    count = sum(len(runs_from[r]) * (end - r) for r, end in zip(starts, [*starts[1:], top + 1]))
+    if count > DIAGRAM_CAP:
+        raise UnsupportedError(
+            f"the diagram has {count} nodes, above the diagram cap of {DIAGRAM_CAP}"
+        )
     at_level: dict[int, list[int]] = {}  # level -> towers with that exponent, ascending
     for i, t in enumerate(towers):
         for k in t.exponents:
@@ -380,9 +397,9 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     classes: list[tuple[int, ...]] = []
     class_of: dict[int, int] = {}  # tower -> position of its class in `classes`
     tails: list[int] = []  # node of each class at the previous level
-    for r in range(1, max(heights) + 1):
-        if r == 1 or r - 1 in events:
-            runs = _classes_at(r, order, depths, heights)
+    for r in range(1, top + 1):
+        runs = runs_from.get(r)
+        if runs is not None:
             tails = [tails[class_of[members[0]]] if r > 1 else -1 for members in runs]
             classes = runs
             class_of = {i: c for c, members in enumerate(classes) for i in members}
@@ -396,7 +413,6 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
         for i in at_level.get(r, ()):
             attached[first + class_of[i]].append((i, r))
 
-    count = len(levels)
     edges = tuple((parents[i], i) for i in range(1, count))
 
     # A factor contributes the level of its meet with c, which is the number

@@ -34,6 +34,68 @@ def run_json(capsys, *argv):
 SAME_BRANCH_PAIR = "tower(x; g=y; exps=[2, 3]) * tower(x; g=2 y; exps=[1, 2])"
 
 
+# The full DOT and SVG of `dynkin` for GOLDEN_PRODUCT: a non-monomial tangent,
+# an m, a node with two factors and two contracted nodes
+GOLDEN_PRODUCT = (
+    "tower(x; g = y - 1/2*y^2; exps = [2, 4]) * tower(x; g = y; exps = [2, 3]) "
+    "* tower(y; g = 0; exps = [3]) * m"
+)
+GOLDEN_DOT = (
+    'graph dynkin {\n'
+    '  rankdir=BT;\n'
+    '  node [shape=circle];\n'
+    '  n0 [label="m\\nself-int -3, mult 6, kept"];\n'
+    '  n1 [label="(x + y) + m^2, (x + y - 1/2*y^2) + m^2\\nself-int -3, mult 10, kept"];\n'
+    '  n2 [label="level 2\\nself-int -2, mult 7, contracted", style=dashed];\n'
+    '  n3 [label="level 3\\nself-int -2, mult 11, contracted", style=dashed];\n'
+    '  n4 [label="(x + y) + m^3\\nself-int -1, mult 11, kept"];\n'
+    '  n5 [label="(y) + m^3\\nself-int -1, mult 8, kept"];\n'
+    '  n6 [label="(x + y - 1/2*y^2) + m^4\\nself-int -1, mult 12, kept"];\n'
+    '  { rank=same; n0; }\n'
+    '  { rank=same; n1; n2; }\n'
+    '  { rank=same; n3; n4; n5; }\n'
+    '  { rank=same; n6; }\n'
+    '  n0 -- n1;\n'
+    '  n0 -- n2;\n'
+    '  n1 -- n3;\n'
+    '  n1 -- n4;\n'
+    '  n2 -- n5;\n'
+    '  n3 -- n6;\n'
+    '}\n'
+)
+GOLDEN_SVG = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="400" viewBox="0 0 600 400">\n'
+    '<line x1="150" y1="320" x2="150" y2="240" stroke="black"/>\n'
+    '<line x1="150" y1="320" x2="300" y2="240" stroke="black"/>\n'
+    '<line x1="150" y1="240" x2="150" y2="160" stroke="black"/>\n'
+    '<line x1="150" y1="240" x2="300" y2="160" stroke="black"/>\n'
+    '<line x1="300" y1="240" x2="450" y2="160" stroke="black"/>\n'
+    '<line x1="150" y1="160" x2="150" y2="80" stroke="black"/>\n'
+    '<circle cx="150" cy="320" r="12" fill="#cfe2ff" stroke="black"/>\n'
+    '<text x="166" y="316" font-size="11">m</text>\n'
+    '<text x="166" y="330" font-size="11">-3, mult 6</text>\n'
+    '<circle cx="150" cy="240" r="12" fill="#cfe2ff" stroke="black"/>\n'
+    '<text x="166" y="236" font-size="11">(x + y) + m^2, (x + y - 1/2*y^2) + m^2</text>\n'
+    '<text x="166" y="250" font-size="11">-3, mult 10</text>\n'
+    '<circle cx="300" cy="240" r="12" fill="white" stroke="black" stroke-dasharray="4 2"/>\n'
+    '<text x="316" y="236" font-size="11">level 2</text>\n'
+    '<text x="316" y="250" font-size="11">-2, mult 7</text>\n'
+    '<circle cx="150" cy="160" r="12" fill="white" stroke="black" stroke-dasharray="4 2"/>\n'
+    '<text x="166" y="156" font-size="11">level 3</text>\n'
+    '<text x="166" y="170" font-size="11">-2, mult 11</text>\n'
+    '<circle cx="300" cy="160" r="12" fill="#cfe2ff" stroke="black"/>\n'
+    '<text x="316" y="156" font-size="11">(x + y) + m^3</text>\n'
+    '<text x="316" y="170" font-size="11">-1, mult 11</text>\n'
+    '<circle cx="450" cy="160" r="12" fill="#cfe2ff" stroke="black"/>\n'
+    '<text x="466" y="156" font-size="11">(y) + m^3</text>\n'
+    '<text x="466" y="170" font-size="11">-1, mult 8</text>\n'
+    '<circle cx="150" cy="80" r="12" fill="#cfe2ff" stroke="black"/>\n'
+    '<text x="166" y="76" font-size="11">(x + y - 1/2*y^2) + m^4</text>\n'
+    '<text x="166" y="90" font-size="11">-1, mult 12</text>\n'
+    '</svg>'
+)
+
+
 class TestCommands:
     def test_nu_text(self, capsys):
         code, out, _ = run(capsys, "nu", "(x y, x^4, y^3)")
@@ -109,6 +171,12 @@ class TestCommands:
         assert code == 0
         assert out.startswith("graph dynkin {") and "rank=same" in out
         assert out.count(" -- ") == 3
+
+    def test_dynkin_dot_and_svg_golden(self, capsys, tmp_path):
+        target = tmp_path / "out.svg"
+        code, out, err = run(capsys, "dynkin", GOLDEN_PRODUCT, "--svg", str(target))
+        assert (code, out, err) == (0, GOLDEN_DOT, "")
+        assert target.read_text() == GOLDEN_SVG
 
     def test_dynkin_json(self, capsys):
         payload = run_json(capsys, "dynkin", "tower(y; g = 0; exps = [1, 2, 3])")

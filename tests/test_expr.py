@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given
@@ -133,6 +135,31 @@ class TestParsing:
             parse("(x x)")
 
 
+# Malformed tower literals: the message and the caret position of each
+MALFORMED_TOWERS = [
+    ("tower(x; g=y; exps=[])", "expected an exponent", 20),
+    ("tower(x; g=y; exps=[1,,2])", "expected an exponent", 22),
+    ("tower(x; g=y; exps=[1, 2,])", "expected an exponent", 25),
+    ("tower(x; g=y; exps=[1 2])", "expected ']'", 22),
+    ("tower(x; g=y; exps=[1, x])", "expected an exponent", 23),
+    ("tower(x; g=y; exps=[1, 2", "expected ']'", 24),
+    ("tower(x; g=1/0*y; exps=[2])", "zero denominator", 14),
+    ("tower(x; g=x^2; exps=[3])", "the tangent must be a polynomial in 'y'", 11),
+    ("tower(y; g=x + y; exps=[3])", "the tangent must be a polynomial in 'x'", 15),
+    ("tower(x; g=y + 1; exps=[2])", "the tangent polynomial must vanish at 0", 16),
+    ("tower(x; g=+; exps=[2])", "expected a tangent term", 12),
+    ("tower(x; g=y; exps=[1, \u0662])", "unexpected character '\u0662'", 23),
+    ("tower(x; g=y; exps=[1, 2\u00e9])", "unexpected character '\u00e9'", 24),
+]
+
+
+@pytest.mark.parametrize("text,message,position", MALFORMED_TOWERS)
+def test_malformed_tower_diagnostics(text, message, position):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (str(info.value), info.value.position) == (message, position)
+
+
 class TestPrinting:
     def test_ideal_text_descending(self):
         I = MonomialIdeal([(0, 6), (1, 4), (2, 3), (3, 1), (7, 0)])
@@ -206,18 +233,27 @@ class TestRoundTrips:
 
 @st.composite
 def tower_products(draw):
-    """Products built the way the parser builds them, through from_factors."""
+    """Products built the way the parser builds them, through from_factors,
+    with exponent lists of up to 4 entries from 1..9 or up to 200 entries."""
     factors = []
     for _ in range(draw(st.integers(1, 3))):
         branch = draw(st.sampled_from(("x", "y")))
-        exps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))
+        if draw(st.booleans()):
+            exps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4, unique=True))
+        else:
+            size = draw(st.integers(1, 200))
+            gaps = draw(st.lists(st.integers(1, 3), min_size=size, max_size=size))
+            exps = list(accumulate(gaps))
         coefficient = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
-        tangent = draw(st.lists(coefficient, max_size=max(exps) - 1))
+        tangent = draw(st.lists(coefficient, max_size=min(max(exps) - 1, 8)))
         factors += [Factor(branch, tuple(tangent), e) for e in exps]
     try:
         return TowerProduct.from_factors(factors)
     except (DomainError, UnsupportedError):
         assume(False)
+
+
+SPACES = st.sampled_from(("", " ", "  ", "\t", "\n", " \n "))
 
 
 class TestPrintParseRoundTrips:
@@ -226,9 +262,15 @@ class TestPrintParseRoundTrips:
         I = MonomialIdeal(gens)
         assert parse(ideal_text(I)).require_ideal() == I
 
-    @given(tower_products())
-    def test_product_text(self, product):
-        assert parse(product_text(product)).require_towers().towers == product.towers
+    @given(tower_products(), st.data())
+    def test_product_text(self, product, data):
+        # commas and brackets appear only in the exponent lists
+        text = re.sub(
+            r"\s*([,\[\]])\s*",
+            lambda match: data.draw(SPACES) + match.group(1) + data.draw(SPACES),
+            product_text(product),
+        )
+        assert parse(text).require_towers().towers == product.towers
 
 
 class TestParserFuzz:

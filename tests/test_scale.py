@@ -21,6 +21,8 @@ N = 600_000_000
 FAMILY = f"(x^{N}, x^{N // 2} y^{N // 3}, y^{N + 1})"
 SPARSE = "tower(x; g=y; exps=[1, 10000])"  # a 10000-level chain, nu = H + 3
 TALL = "tower(x; g=y; exps=[1, 100000000])"  # its diagram would have 10^8 nodes
+# a pair's length is read off its diagram, which would have 10^11 nodes
+TALL_PAIR = "tower(x; g=y; exps=[1, 100000000000]) * tower(x; g=2*y; exps=[1, 2])"
 
 
 def child_env() -> dict:
@@ -149,6 +151,9 @@ def test_dynkin_refuses_n_ab_without_its_closure():
         (("ferrers", "(x^100000000, y)"), "the output cap of 1000000"),
         (("ferrers", "(x^100000000, y)", "--format", "json"), "the output cap of 1000000"),
         (("normalize", "m^100000000"), "the output cap of 1000000"),
+        (("nu", "tower(x; g=y; exps=[1, 3000000])"), "the diagram cap of 150000"),
+        (("nu", "tower(x; g=y^5000000; exps=[5000001])"), "the diagram cap of 150000"),
+        (("length", TALL_PAIR), "the diagram cap of 150000"),
     ],
 )
 def test_caps_refuse_with_exit_3(argv, message):
