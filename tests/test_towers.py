@@ -20,6 +20,7 @@ from behrend import (
     two_tower_length,
     two_tower_nu,
 )
+from behrend import towers
 from behrend.towers import product_length
 
 
@@ -453,6 +454,16 @@ class TestReferenceEngine:
                 > len(n.members) for n in diagram.nodes
             )
         assert deep_forks >= 50
+
+    def test_diagram_cap_counts_the_nodes_before_building(self, monkeypatch):
+        rng = random.Random(59)
+        for product in [forked_product(rng) for _ in range(40)]:
+            count = len(reference_dynkin(product))
+            monkeypatch.setattr(towers, "DIAGRAM_CAP", count)
+            assert len(build_dynkin(product).nodes) == count
+            monkeypatch.setattr(towers, "DIAGRAM_CAP", count - 1)
+            with pytest.raises(UnsupportedError, match=f"has {count} nodes, above the diagram cap"):
+                build_dynkin(product)
 
     def test_padded_order_differs_from_stored_order(self):
         # the product sorts (1,) before (1, 0, -1); the zero-padded prefixes
