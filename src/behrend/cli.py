@@ -11,10 +11,8 @@ cells in text and SVG), 141 standard output closed by its reader before
 all output was written (128 + SIGPIPE, what a shell reports for a writer
 the signal stops; no traceback is printed).
 
-Every monomial command but `dynkin` answers a product of normal atoms from
-the sum of their Newton polygons (expr.Elaborated.polygon) and any other
-monomial product from its capped expansion; `normalize` reads the sum for
-every product.
+The parsed expression (expr.Elaborated) picks the route that answers each
+query; this module applies the output caps, formats and prints.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError, UnsupportedError
 from .expr import factors_text, ideal_text, parse
-from .newton import closure_size, is_normal, newton_polygon, polygon_closure, polygon_colength
-from .normal_factor import factor_normal, factors_fan, polygon_factors
-from .nu import nu_monomial, nu_normal
+from .newton import closure_size, polygon_closure
+from .normal_factor import factors_fan
 
 if TYPE_CHECKING:
     from .ideals import MonomialIdeal
@@ -146,19 +143,6 @@ def _run_command(args) -> int:
 
     elaborated = parse(args.expr)
 
-    if args.command in ("length", "nu") and not elaborated.is_monomial:
-        from .towers import noncomplete_product_nu, product_length
-
-        product = elaborated.require_towers()
-        if args.command == "length":
-            value = product_length(product)
-            print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
-        elif as_json:
-            print(_envelope("nu", dynkin_json(noncomplete_product_nu(product))))
-        else:
-            print(_summary_text(noncomplete_product_nu(product)))
-        return 0
-
     if args.command == "dynkin":
         from . import render
         from .towers import noncomplete_product_nu
@@ -173,31 +157,28 @@ def _run_command(args) -> int:
             print(render.dynkin_dot(summary.diagram, product))
         return 0
 
-    # A product of normal atoms is answered from the sum of their polygons,
-    # any other product from its expansion.  The polygon of a closure is
-    # that sum whether the bases are normal or not.
-    polygon = elaborated.polygon(normal=args.command != "normalize")
-    ideal = None if polygon else elaborated.require_ideal()
-
     if args.command == "normalize":
-        polygon = polygon or newton_polygon(ideal.require_fat_point())
+        polygon = elaborated.polygon()
         _check_output(closure_size(polygon), NORMALIZE_CAP, "the closure", "generators")
         closure = polygon_closure(polygon)
         print(_envelope("ideal", ideal_json(closure)) if as_json else ideal_text(closure))
         return 0
 
     if args.command == "length":
-        value = polygon_colength(polygon) if polygon else ideal.require_fat_point().colength()
+        value = elaborated.length()
         print(_envelope("length", {"length": value}) if as_json else f"length = {value}")
         return 0
 
     if args.command == "nu":
-        report = nu_normal(polygon) if polygon else nu_monomial(ideal)
-        print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
+        report = elaborated.nu()
+        if elaborated.is_monomial:
+            print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
+        else:
+            print(_envelope("nu", dynkin_json(report)) if as_json else _summary_text(report))
         return 0
 
     if args.command == "normal?":
-        normal = polygon is not None or is_normal(ideal.require_fat_point())
+        normal = elaborated.normal()
         if as_json:
             print(_envelope("normal", {"normal": normal}))
         else:
@@ -205,7 +186,7 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "factor":
-        factors = polygon_factors(polygon) if polygon else factor_normal(ideal)
+        factors = elaborated.factors()
         if as_json:
             atoms = [{"alpha": f.alpha, "beta": f.beta, "delta": f.delta} for f in factors]
             print(_envelope("factorization", {"factors": atoms}))
@@ -216,7 +197,7 @@ def _run_command(args) -> int:
     if args.command == "fan":
         from . import render
 
-        fan = factors_fan(polygon_factors(polygon) if polygon else factor_normal(ideal))
+        fan = factors_fan(elaborated.factors())
         if args.svg:
             _write_svg(args.svg, render.fan_svg(fan))
         print(_envelope("fan", fan_json(fan)) if as_json else render.fan_text(fan))
@@ -225,13 +206,13 @@ def _run_command(args) -> int:
     if args.command == "ferrers":
         from . import render
 
-        a0, b0 = (polygon.vertices[0][0], polygon.vertices[-1][1]) if polygon else (
-            ideal.require_fat_point().x_power, ideal.y_power)
-        if as_json and not args.svg:
-            _check_output(a0, FERRERS_CAP, "the staircase", "columns")
-        else:
-            _check_output(a0 * b0, FERRERS_CAP, "the staircase grid", "cells")
-        diagram = (polygon_closure(polygon) if polygon else ideal).ferrers()
+        def check(a0: int, b0: int) -> None:
+            if as_json and not args.svg:
+                _check_output(a0, FERRERS_CAP, "the staircase", "columns")
+            else:
+                _check_output(a0 * b0, FERRERS_CAP, "the staircase grid", "cells")
+
+        diagram = elaborated.staircase(check).ferrers()
         if args.svg:
             _write_svg(args.svg, render.ferrers_svg(diagram))
         if as_json:

@@ -13,23 +13,8 @@ Grammar (whitespace-insensitive, left-associative `*`, postfix `^`):
 Variables are fixed to x and y; a z anywhere is rejected as out of scope
 (fat points in three or more variables).  parse validates every atom but
 multiplies nothing and builds no closure: it returns the expression as a
-product of powers of its atoms, n(a,b) kept as the pair it names.
-
-A command then reads the product one of three ways:
-  - Elaborated.polygon sums the atoms' Newton polygons.  For a product of
-    normal atoms (n(a,b), m, monomial towers, normal generator lists) the
-    product is normal and `length`, `nu`, `normal?`, `factor`, `fan` and
-    `ferrers` read it off that sum; `normalize` reads the sum for every
-    product, normal bases or not.  Its cost depends on the edges, not on
-    the exponents.
-  - Elaborated.require_ideal multiplies the product out, for the other
-    monomial products: only the expansion gives the staircase of a product
-    with a non-normal base.  It refuses with UnsupportedError (exit 3) when
-    a bound on the generator count exceeds EXPANSION_CAP.
-  - Elaborated.require_towers groups the product into towers for `dynkin`
-    and for the `length` and `nu` of non-monomial towers.
-A product mixing a non-monomial tower with a generator list or an n(a,b)
-has none of these forms and is rejected.
+product of powers of its atoms, n(a,b) kept as the pair it names, and
+Elaborated picks the route that answers each query.
 
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
@@ -47,11 +32,14 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParseError, UnsupportedError
 from .ideals import MAXIMAL_IDEAL, UNIT_IDEAL, MonomialIdeal
-from .newton import NewtonPolygon, is_normal, newton_polygon, polygon_closure, polygon_sum
-from .normal_factor import NabFactor, nab_atom
+from .newton import (
+    NewtonPolygon, is_normal, newton_polygon, polygon_closure, polygon_colength, polygon_sum,
+)
+from .normal_factor import NabFactor, factor_normal, nab_atom, polygon_factors
+from .nu import BehrendReport, nu_monomial, nu_normal
 
 if TYPE_CHECKING:  # towers is imported only where a tower form is built
-    from .towers import Tower, TowerProduct
+    from .towers import Tower, TowerNuSummary, TowerProduct
 
 # One alternative per token kind after optional whitespace, in ASCII only; the
 # empty `end` matches only at the end of the text, since _BAD is searched first.
@@ -76,12 +64,25 @@ EXPANSION_CAP = 1000
 
 
 class Elaborated(NamedTuple):
-    """An expression as a product of powers, multiplied out on demand.
+    """An expression as a product of powers, answered by one route per query.
 
     terms holds one (atom, d) pair per factor, in the order written: atom is
     the MonomialIdeal of a generator list, the NabFactor of an n(a,b), the
     Tower of a tower literal, or the string "m" for the maximal ideal, and d
     its exponent.
+
+    length, nu, normal, factors and staircase take the first route that fits:
+      - for length and nu of non-monomial towers, the diagram engine on the
+        grouped product (require_towers), or tower_length's closed form for
+        the length of a single tower, O(#exponents) however tall;
+      - for a product of normal atoms (n(a,b), m, monomial towers, normal
+        generator lists), which is normal (Zariski), the sum of their Newton
+        polygons (polygon), at a cost set by the edges, not the exponents;
+      - a lone generator list, read directly;
+      - the product multiplied out (require_ideal), refused above
+        EXPANSION_CAP.
+    A product mixing a non-monomial tower with a generator list or an n(a,b)
+    has none of these forms and is refused.
     """
 
     terms: tuple[tuple[MonomialIdeal | NabFactor | Tower | str, int], ...]
@@ -94,35 +95,67 @@ class Elaborated(NamedTuple):
             for atom, _ in self.terms
         )
 
-    def polygon(self, normal: bool = True) -> NewtonPolygon | None:
-        """Newton polygon of the product, the sum of its atoms' polygons.
+    def _route(self, from_polygon, from_ideal, from_towers=None):
+        """The answer of the first route that applies; from_towers takes the
+        towers module and the grouped product."""
+        if from_towers and not self.is_monomial:
+            from . import towers
 
-        None when an atom adds none: a non-monomial tower, a generator list
-        without finite colength or, if normal is set, one that is not
-        normal.  n(a,b), m and monomial towers are normal, and so is every
-        product of normal atoms, whose invariants the polygon then gives.
-        If normal is set, None also for a lone generator list to the first
-        power: there is nothing to multiply, so the list is read directly.
-        Raises DomainError when the product is the unit ideal.
-        """
-        if normal and len(self.terms) == 1:
-            atom, d = self.terms[0]
-            if d == 1 and isinstance(atom, MonomialIdeal):
-                return None
+            return from_towers(towers, self.require_towers())
+        (first, d), *rest = self.terms
+        if (rest or d != 1 or not isinstance(first, MonomialIdeal)) and self.is_monomial and all(
+            atom.is_finite_colength and is_normal(atom)
+            for atom, _ in self.terms if isinstance(atom, MonomialIdeal)
+        ):
+            return from_polygon(self.polygon())
+        return from_ideal(self.require_ideal().require_fat_point())
+
+    def length(self) -> int:
+        return self._route(polygon_colength, MonomialIdeal.colength, lambda towers, product: (
+            towers.tower_length(product.towers[0]) if len(product.towers) == 1
+            else towers.build_dynkin(product).length()
+        ))
+
+    def nu(self) -> BehrendReport | TowerNuSummary:
+        """The per-edge report of a monomial product, else the diagram summary."""
+        return self._route(nu_normal, nu_monomial, lambda towers, product: (
+            towers.noncomplete_product_nu(product)
+        ))
+
+    def normal(self) -> bool:
+        return self._route(lambda polygon: True, is_normal)
+
+    def factors(self) -> tuple[NabFactor, ...]:
+        """The n(a,b) factorization; DomainError unless the product is normal."""
+        return self._route(polygon_factors, factor_normal)
+
+    def staircase(self, check=lambda a0, b0: None) -> MonomialIdeal:
+        """The ideal that `ferrers` draws: the closure of the summed polygon,
+        the lone list or the expansion.  check is called with its corners
+        (a0, b0) before the closure is built, and may refuse it."""
+        return self._route(
+            lambda polygon: check(polygon.vertices[0][0], polygon.vertices[-1][1])
+            or polygon_closure(polygon),
+            lambda ideal: check(ideal.x_power, ideal.y_power) or ideal,
+        )
+
+    def polygon(self) -> NewtonPolygon:
+        """Newton polygon of the product, normal bases or not: the sum of its
+        atoms' polygons or, when an atom has none (a non-monomial tower or a
+        generator list without finite colength), the polygon of the product
+        multiplied out.  Raises DomainError when the product is no fat point."""
         terms = []
         for atom, d in self.terms:
             if atom == "m":
                 polygon = newton_polygon(MAXIMAL_IDEAL)
             elif isinstance(atom, NabFactor):
                 polygon = atom.polygon
-            elif isinstance(atom, MonomialIdeal):
-                if not atom.is_finite_colength or normal and not is_normal(atom):
-                    return None
+            elif isinstance(atom, MonomialIdeal) and atom.is_finite_colength:
                 polygon = newton_polygon(atom)
-            elif atom.is_monomial:
+            elif not isinstance(atom, MonomialIdeal) and atom.is_monomial:
                 polygon = newton_polygon(atom.ideal())
             else:
-                return None
+                return newton_polygon(self.require_ideal().require_fat_point())
             terms.append((polygon, d))
         polygon = polygon_sum(terms)
         if not polygon.edges:

@@ -13,16 +13,12 @@ its polygon once and keeps it, and a closure is emitted canonical with its
 polygon attached.
 
 The polygon of a product is the Minkowski sum of its factors' polygons
-(polygon_sum), and a product of normal ideals is normal (Zariski), so the
-command line answers `length`, `nu`, `normal?`, `factor`, `fan` and
-`ferrers` of a product of normal atoms from the sum without multiplying it
-out: polygon_colength is its length, polygon_closure walks its generators
-only when they are printed, and closure_size counts them first.
-`normalize` walks the sum of any product; the other commands multiply a
-product with a non-normal base out, under expr.EXPANSION_CAP, and read the
-polygon of the result with newton_polygon.  The second routes that verify
-checks these against, the expansion, the definitional closure oracle and
-the staircase shape conditions of normal ideals, live in verify.
+(polygon_sum): polygon_colength is the length of its normal ideal,
+polygon_closure walks that ideal's generators and closure_size counts them
+first (expr.Elaborated says which products read the sum).  The second
+routes that verify checks these against, the expansion, the definitional
+closure oracle and the staircase shape conditions of normal ideals, live in
+verify.
 """
 
 from __future__ import annotations

@@ -16,12 +16,10 @@ pinned against the independent tower engine by the verify module, which
 also holds the closed forms nu_lci and nu_power_rule checked against it.
 
 Two routes share the edge-to-record step.  nu_monomial reads d off the
-generators and the length off the staircase of an explicit ideal; the
-`nu` command calls it for a lone generator list and, after multiplying it
-out, for a product with a non-normal base.  A product of normal atoms is normal (Zariski), so every
-d is 1 and nu_normal reads the whole report off the summed polygon, with
-Pick's count for the length; verify's nu/normal-product holds the two
-routes to each other.
+generators and the length off the staircase of an explicit ideal.  For the
+normal ideal of a polygon every d is 1, and nu_normal reads the whole
+report off the polygon, with Pick's count for the length; verify's
+nu/normal-product holds the two routes to each other.
 """
 
 from __future__ import annotations

@@ -476,15 +476,6 @@ class TowerNuSummary(NamedTuple):
     diagram: DynkinDiagram
 
 
-def product_length(product: TowerProduct) -> int:
-    """Length of a tower product: the closed form for a single tower, which
-    costs O(#exponents) however tall the tower, else DynkinDiagram.length."""
-    towers = product.towers
-    if len(towers) == 1:
-        return tower_length(towers[0])
-    return build_dynkin(product).length()
-
-
 def noncomplete_product_nu(product: TowerProduct) -> TowerNuSummary:
     """Behrend number and length of an arbitrary finite product of towers."""
     diagram = build_dynkin(product)

@@ -29,11 +29,11 @@ and oracles that only these checks call:
                              complete cross pair, or else
                              pairwise_meet_length (mixed multiplicities)
   nu/normal-product, factor/normal-product, closure/normal-product
-                             the summed-polygon routes (nu_normal,
-                             polygon_factors, polygon_closure) against
-                             nu_monomial, factor_normal and integral_closure
-                             of the multiplied-out product, on random
-                             products of powers of normal atoms
+                             the polygon route of expr.Elaborated (nu_normal,
+                             polygon_factors, polygon_closure of the summed
+                             polygon) against nu_monomial, factor_normal and
+                             integral_closure of the multiplied-out product,
+                             on random products of powers of normal atoms
   closure/definitional       integral_closure against integral_closure_oracle
   closure/normal-staircase-conditions
                              staircase_conditions on every normal ideal drawn
@@ -589,14 +589,14 @@ def random_normal_product(rng: random.Random, bounds: Bounds) -> str:
 
 
 def check_normal_products(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """The summed-polygon routes of the command line against the multiplied-out
-    product: the nu report (d, length and normality included), the
-    factorization and the closure."""
+    """The polygon route of expr.Elaborated against the multiplied-out product:
+    the nu report (d, length and normality included), the factorization and
+    the closure.  It reads polygon(), since nu() reads a lone list directly."""
     results = []
     for _ in range(bounds.normal_products):
         text = random_normal_product(rng, bounds)
         elaborated = parse(text)
-        polygon = elaborated.polygon(normal=False)  # the sum, lone lists included
+        polygon = elaborated.polygon()  # the sum, lone lists included
         ideal = elaborated.require_ideal()
         results += [
             CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),

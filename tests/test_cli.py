@@ -410,6 +410,59 @@ class TestOutputsAndEnv:
         )
 
 
+def library_payload(command, text):
+    """The JSON payload of a command, computed from the library's answer."""
+    from behrend import DomainError, UnsupportedError, parse
+    from behrend.cli import dynkin_json, fan_json, ideal_json, report_json
+    from behrend.newton import polygon_closure
+    from behrend.normal_factor import factors_fan
+
+    elaborated = parse(text)
+    answers = {
+        "length": lambda: {"length": elaborated.length()},
+        "nu": lambda: (report_json if elaborated.is_monomial else dynkin_json)(elaborated.nu()),
+        "normal?": lambda: {"normal": elaborated.normal()},
+        "factor": lambda: {"factors": [f._asdict() for f in elaborated.factors()]},
+        "fan": lambda: fan_json(factors_fan(elaborated.factors())),
+        "ferrers": lambda: {"column_heights": elaborated.staircase().ferrers().column_heights},
+        "normalize": lambda: ideal_json(polygon_closure(elaborated.polygon())),
+    }
+    try:
+        return 0, json.loads(json.dumps(answers[command]())), ""
+    except DomainError as error:
+        return 2, None, f"domain error: {error}\n"
+    except UnsupportedError as error:
+        return 3, None, f"unsupported: {error}\n"
+
+
+class TestLibraryAnswersAsPrinted:
+    """parse(text) answers every query as the command line prints it: the
+    polygon route, the expansion, the diagram and a lone list."""
+
+    @pytest.mark.parametrize(
+        "command", ["length", "nu", "normal?", "factor", "fan", "ferrers", "normalize"]
+    )
+    @pytest.mark.parametrize(
+        "text,nu",
+        [
+            ("n(99,99)^99", 9801),
+            ("(x^4, x^3 y, x y^3, y^4)^2", 8),
+            ("tower(x; g=y; exps=[1, 2]) * tower(x; g=2*y; exps=[1, 3])", 15),
+            ("(x^2, x y^2, y^3)", 6),
+        ],
+    )
+    def test_every_command(self, capsys, command, text, nu):
+        code, out, err = run(capsys, command, text, "--format", "json")
+        printed = json.loads(out) if code == 0 else None
+        if printed:
+            del printed["schema_version"], printed["kind"]
+        assert library_payload(command, text) == (code, printed, err)
+        if command == "nu":
+            from behrend import parse
+
+            assert parse(text).nu().nu == nu == printed["nu"]
+
+
 # the grammar's alphabet as tokens, plus the out-of-scope variable z and two
 # non-ASCII characters that str.isdigit and str.isalpha accept
 GRAMMAR_TOKENS = (

@@ -22,6 +22,7 @@ from behrend import (
     nu_power_rule,
     parse,
 )
+from behrend import expr
 from behrend.expr import EXPANSION_CAP
 from behrend.newton import polygon_closure
 from behrend.normal_factor import polygon_factors
@@ -236,20 +237,23 @@ class TestPolygonRoute:
             ("tower(x; g=0; exps=[1, 3])^2", True, 12),
         ],
     )
-    def test_hand_cases(self, text, normal_atoms, nu):
+    def test_hand_cases(self, text, normal_atoms, nu, monkeypatch):
+        routes = []
+        monkeypatch.setattr(expr, "nu_normal", lambda p: routes.append(p) or nu_normal(p))
         elaborated = parse(text)
         ideal = elaborated.require_ideal()
         assert is_normal(ideal)
-        polygon = elaborated.polygon()
-        assert (polygon is not None) == normal_atoms
-        report = nu_normal(polygon) if polygon else nu_monomial(ideal)
+        report = elaborated.nu()
+        assert bool(routes) == normal_atoms  # the summed polygon answered
         assert report == nu_monomial(ideal)
         assert report.nu == nu
-        closure = polygon_closure(elaborated.polygon(normal=False))
-        assert closure == integral_closure(ideal) == ideal
-        if polygon:
-            assert polygon == newton_polygon(ideal)
-            assert polygon_factors(polygon) == factor_normal(ideal)
+        assert elaborated.normal()
+        assert elaborated.length() == ideal.colength()
+        polygon = elaborated.polygon()
+        assert polygon == newton_polygon(ideal)
+        assert polygon_closure(polygon) == integral_closure(ideal) == ideal
+        assert elaborated.staircase() == ideal
+        assert polygon_factors(polygon) == elaborated.factors() == factor_normal(ideal)
 
     def test_normalize_of_non_normal_bases_reads_the_sum(self):
         rng = random.Random(5)
@@ -258,7 +262,7 @@ class TestPolygonRoute:
             text = " * ".join(f"{ideal_text(p)}^{rng.randint(1, 3)}" for p in parts)
             elaborated = parse(text)
             ideal = elaborated.require_ideal()
-            polygon = elaborated.polygon(normal=False)
+            polygon = elaborated.polygon()
             assert polygon == newton_polygon(ideal), text
             assert polygon_closure(polygon) == integral_closure(ideal), text
 

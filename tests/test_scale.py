@@ -148,6 +148,9 @@ def test_dynkin_refuses_n_ab_without_its_closure():
     "argv,message",
     [
         (("nu", "(x^2, y^2)^1000000"), "the expansion cap of 1000 generators"),
+        # the expansion cap before the output cap, and the output cap before any closure
+        (("ferrers", "(x^2, y^2)^1000000"), "the expansion cap of 1000 generators"),
+        (("ferrers", "m^1000000"), "the output cap of 1000000"),
         (("ferrers", "(x^100000000, y)"), "the output cap of 1000000"),
         (("ferrers", "(x^100000000, y)", "--format", "json"), "the output cap of 1000000"),
         (("normalize", "m^100000000"), "the output cap of 1000000"),
