@@ -49,7 +49,9 @@ FERRERS_CAP = 1_000_000
 def _envelope(kind: str, payload: dict) -> str:
     import json
 
-    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **payload})
+    # every payload is a fresh tree, so the encoder need not look for cycles
+    return json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **payload},
+                      check_circular=False)
 
 
 def ideal_json(ideal: MonomialIdeal) -> dict:
@@ -89,15 +91,11 @@ def dynkin_json(summary: TowerNuSummary) -> dict:
         "nu": summary.nu,
         "length": summary.length,
         "nodes": [
-            {
-                "level": n.level,
-                "members": n.members,
-                "factors": n.factors,
-                "self_intersection": n.self_intersection,
-                "multiplicity": n.multiplicity,
-                "surviving": n.surviving,
-            }
-            for n in diagram.nodes
+            {"level": level, "members": members, "factors": factors,
+             "self_intersection": self_intersection, "multiplicity": multiplicity,
+             "surviving": surviving}
+            for _, level, members, factors, self_intersection, multiplicity, surviving
+            in diagram.nodes
         ],
         "edges": diagram.edges,
     }
@@ -121,9 +119,9 @@ def _report_text(report: BehrendReport) -> str:
 def _summary_text(summary: TowerNuSummary) -> str:
     lines = [f"nu = {summary.nu}", f"length = {summary.length}"]
     lines.append("nodes (level, multiplicity, surviving):")
-    for node in summary.diagram.nodes:
-        flag = "kept" if node.surviving else "contracted"
-        lines.append(f"  level {node.level}  mult {node.multiplicity}  [{flag}]")
+    for _, level, _, _, _, multiplicity, surviving in summary.diagram.nodes:
+        flag = "kept" if surviving else "contracted"
+        lines.append(f"  level {level}  mult {multiplicity}  [{flag}]")
     return "\n".join(lines)
 
 

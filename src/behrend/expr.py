@@ -19,8 +19,9 @@ Elaborated picks the route that answers each query.
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
 outside the grammar runs first, so that such a character is reported before
-any other error.  A tower's exponent list is read in one anchored match; the
-token loop reads it only when that match fails, to place the caret.
+any other error.  A tower's tangent polynomial and its exponent list are
+each read in one anchored match; the token loop reads them only when the
+match finds them malformed, to place the caret.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ _TOKEN = re.compile(
 _BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
 # A whole well-formed exponent list, from its first entry to before its "]"
 _EXPONENTS = re.compile(r"[0-9]+(?:\s*,\s*[0-9]+)*(?=\s*\])")
+# A whole well-formed tangent polynomial in x or y, to before its ";", and its
+# terms: sign, numerator, denominator, variable and exponent
+_TERM = r"(?:(?:[0-9]+(?:\s*/\s*[0-9]+)?\s*\*?\s*)?[xy](?:\s*\^\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?)"
+_TANGENT = re.compile(rf"[-+]?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*(?=\s*;)")
+_TANGENT_TERMS = re.compile(
+    r"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*\*?\s*)?(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
+)
 
 
 class Token(NamedTuple):
@@ -370,7 +378,7 @@ class _Parser:
         if listed:  # the whole list in one match
             self.pos = listed.end()
             self.advance()
-            exps = [int(e) for e in listed.group().split(",")]
+            exps = re.findall("[0-9]+", listed.group())  # int() refuses \x1c-\x1f of \s
         else:  # a malformed list: the token loop places the caret
             exps = [self.expect_int("an exponent")]
             while self.token.kind == ",":
@@ -386,16 +394,24 @@ class _Parser:
         """Polynomial in the branch-opposite variable with rational coefficients
         and zero constant term; returns dense coefficients of degree 1, 2, ...,
         refused before they are built when the degree exceeds the diagram cap."""
+        written = _TANGENT.match(self.text, self.token.pos)
+        terms = _tangent_terms(written.group(), variable) if written else None
+        if terms is not None:
+            self.pos = written.end()
+            self.advance()
+        else:  # the token loop places the caret
+            terms = []
+            while True:
+                sign = -1 if self.token.kind == "-" else 1
+                if self.token.kind in ("+", "-"):
+                    self.advance()
+                numerator, denominator, degree = self.tangent_term(variable)
+                terms.append((degree, Fraction(sign * numerator, denominator)))
+                if self.token.kind not in ("+", "-"):
+                    break
         coefficients: dict[int, Fraction] = {}
-        while True:
-            sign = -1 if self.token.kind == "-" else 1
-            if self.token.kind in ("+", "-"):
-                self.advance()
-            numerator, denominator, degree = self.tangent_term(variable)
-            term = Fraction(sign * numerator, denominator)
+        for degree, term in terms:
             coefficients[degree] = coefficients[degree] + term if degree in coefficients else term
-            if self.token.kind not in ("+", "-"):
-                break
         if coefficients.get(0):
             self.fail("the tangent polynomial must vanish at 0")
         top = max((d for d, c in coefficients.items() if c), default=0)
@@ -434,6 +450,19 @@ class _Parser:
         if not explicit_coefficient:
             self.fail("expected a tangent term")
         return numerator, denominator, 0
+
+
+def _tangent_terms(written: str, variable: str) -> list[tuple[int, Fraction]] | None:
+    """(degree, coefficient) of each term of a polynomial that matched _TANGENT,
+    or None when a term is in the other variable or a denominator is 0."""
+    terms = []
+    for sign, numerator, denominator, name, degree in _TANGENT_TERMS.findall(written):
+        if name not in ("", variable) or denominator and not int(denominator):
+            return None
+        if numerator or name:  # not the empty match at the end
+            term = Fraction(int(sign + (numerator or "1")), int(denominator or 1))
+            terms.append((int(degree or 1) if name else 0, term))
+    return terms
 
 
 def parse(text: str) -> Elaborated:

@@ -9,7 +9,7 @@ from .expr import tangent_text
 if TYPE_CHECKING:  # so that fan and ferrers do not import towers
     from .ideals import FerrersDiagram
     from .normal_factor import Fan
-    from .towers import DynkinDiagram, DynkinNode, TowerProduct
+    from .towers import DynkinDiagram, TowerProduct
 
 
 def ferrers_text(diagram: FerrersDiagram) -> str:
@@ -43,30 +43,28 @@ def _label_prefixes(product: TowerProduct) -> list[str]:
     return prefixes
 
 
-def _node_label(node: DynkinNode, prefixes: list[str]) -> str:
+def _node_label(level: int, factors, prefixes: list[str]) -> str:
     """The node's factors, or its level when none attaches to it."""
-    names = ", ".join("m" if k == 1 else f"{prefixes[t]}{k}" for t, k in node.factors)
-    return names or f"level {node.level}"
+    if not factors:
+        return f"level {level}"
+    return ", ".join(["m" if k == 1 else f"{prefixes[t]}{k}" for t, k in factors])
 
 
 def dynkin_dot(diagram: DynkinDiagram, product: TowerProduct) -> str:
     """DOT graph; levels become ranks so renders match the leveled pictures."""
     lines = ["graph dynkin {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[int]] = {}
-    for node in diagram.nodes:
-        by_level.setdefault(node.level, []).append(node.index)
     prefixes = _label_prefixes(product)
-    for node in diagram.nodes:
-        style, flag = ("", "kept") if node.surviving else (", style=dashed", "contracted")
+    for index, level, _, factors, self_intersection, multiplicity, surviving in diagram.nodes:
+        by_level.setdefault(level, []).append(index)
+        flag = 'kept"' if surviving else 'contracted", style=dashed'
         lines.append(
-            f'  n{node.index} [label="{_node_label(node, prefixes)}\\nself-int '
-            f'{node.self_intersection}, mult {node.multiplicity}, {flag}"{style}];'
+            f'  n{index} [label="{_node_label(level, factors, prefixes)}\\nself-int '
+            f'{self_intersection}, mult {multiplicity}, {flag}];'
         )
     for level in sorted(by_level):
-        members = "; ".join(f"n{i}" for i in by_level[level])
-        lines.append(f"  {{ rank=same; {members}; }}")
-    for a, b in diagram.edges:
-        lines.append(f"  n{a} -- n{b};")
+        lines.append(f"  {{ rank=same; n{'; n'.join(map(str, by_level[level]))}; }}")
+    lines += [f"  n{a} -- n{b};" for a, b in diagram.edges]
     lines.append("}")
     return "\n".join(lines)
 
@@ -149,7 +147,7 @@ def dynkin_svg(diagram: DynkinDiagram, product: TowerProduct) -> str:
         body.append(
             f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" stroke="black"{dash}/>'
         )
-        label = _node_label(node, prefixes)
+        label = _node_label(node.level, node.factors, prefixes)
         body.append(f'<text x="{x + r + 4}" y="{y - 4}" font-size="11">{label}</text>')
         body.append(
             f'<text x="{x + r + 4}" y="{y + 10}" font-size="11">'

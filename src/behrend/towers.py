@@ -23,9 +23,9 @@ level after a tower ends or an adjacent depth runs out; between those event
 levels each class adds one chain node.
 
 Cost.  O(T log T) tangent comparisons for the sort (each O(agreement depth)),
-O(nodes + factors) for the chains, multiplicities and the contraction check,
-and O(T) at each of at most 2T - 1 event levels, which is no more than the
-member lists those levels write.
+O(T) at each of at most 2T - 1 event levels, and list slicing and
+repetition over the parallel chains between them; Python-level loops run
+once per factor, to place it, and once per edge, in the contraction check.
 
 The contribution of a factor whose own node is c_I to a node c is the level
 of the deepest common ancestor of c and c_I (a node counts as its own
@@ -39,9 +39,11 @@ two_tower_length, tower_times_m_power) live in verify.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, lt, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
@@ -115,12 +117,12 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
     """Validate and build a tower; each broken precondition is its own error."""
     if branch not in BRANCHES:
         raise DomainError(f"branch must be 'x' or 'y', not {branch!r}")
-    exps = tuple(int(e) for e in exponents)
+    exps = tuple(map(int, exponents))
     if not exps:
         raise DomainError("a tower needs at least one exponent")
     if exps[0] < 1:
         raise DomainError("tower exponents must be positive")
-    if any(a >= b for a, b in zip(exps, exps[1:])):
+    if not all(map(lt, exps, exps[1:])):
         raise DomainError("tower exponents must be strictly increasing")
     coeffs = _as_coefficients(tangent)
     if len(coeffs) >= exps[-1]:
@@ -190,8 +192,7 @@ class TowerProduct:
         towers = tuple(sorted(towers, key=lambda t: (t.branch, t.tangent, t.exponents)))
         if not towers:
             raise DomainError("a tower product needs at least one tower")
-        keys = [(t.branch, t.tangent) for t in towers]
-        if len(set(keys)) != len(keys):
+        if any(s[:2] == t[:2] for s, t in zip(towers, towers[1:])):  # same branch and tangent
             raise DomainError(
                 "towers sharing branch and tangent must be merged or rejected; "
                 "build products through from_factors"
@@ -224,10 +225,11 @@ class TowerProduct:
         a group is a repeated ideal factor, i.e. a power, which the engine
         does not model.  Exponent-1 factors all cut out m; they fill the
         groups lacking exponent 1 in sorted order, then new monomial towers
-        on x and on y.
+        on x and on y.  A Tower whose group ends with exactly its exponents
+        is passed on as it is; make_tower rebuilds only the other groups.
         """
         floating = 0
-        groups: dict[tuple, set[int]] = {}
+        groups: dict[tuple, list] = {}  # key -> [exponents, the lone Tower or None]
         for item in factors:
             exponents = item.exponents if isinstance(item, Tower) else (item.exponent,)
             if exponents[0] == 1:
@@ -241,27 +243,34 @@ class TowerProduct:
                 raise DomainError("a bare maximal-ideal factor must have exponent 1")
             else:
                 key = (item.branch, _as_coefficients(item.tangent))
-            exps = groups.setdefault(key, set())
-            if not exps.isdisjoint(exponents):
+            group = groups.setdefault(key, [set(), item if isinstance(item, Tower) else None])
+            if not group[0].isdisjoint(exponents):
                 raise UnsupportedError(
                     "repeated tower factor: powers scale nu linearly "
                     "(nu of I^d is d times nu of I), so compute the base product"
                 )
-            exps.update(exponents)
+            if group[0]:  # merged with an earlier item
+                group[1] = None
+            group[0].update(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
-        slots = [key for key in sorted(groups) if 1 not in groups[key]]
-        slots += [key for key in (("x", ()), ("y", ())) if key not in groups]
+        slots = [(key, group) for key, group in groups.items() if 1 not in group[0]]
+        if floating < len(slots):  # only then does the order pick the groups
+            slots.sort(key=itemgetter(0))
+        fresh = len(slots)  # new monomial towers from here on
+        slots += [(key, [set(), None]) for key in (("x", ()), ("y", ())) if key not in groups]
         if floating > len(slots):
             raise UnsupportedError(
                 "no tower can absorb another maximal-ideal factor: "
                 "powers of m scale nu linearly, so factor them out first"
             )
-        for key in slots[:floating]:
-            groups.setdefault(key, set()).add(1)
+        for _, (exps, _) in slots[:floating]:
+            exps.add(1)
+        # a lone Tower whose group ends with its own exponents passes through
         return cls(
-            make_tower(branch, tangent, sorted(exps))
-            for (branch, tangent), exps in groups.items()
+            tower if tower is not None and len(exps) == len(tower.exponents)
+            else make_tower(branch, tangent, sorted(exps))
+            for (branch, tangent), (exps, tower) in (*groups.items(), *slots[fresh:floating])
         )
 
     @property
@@ -327,6 +336,9 @@ class DynkinNode(NamedTuple):
     surviving: bool
 
 
+_SELF_INTERSECTION, _MULTIPLICITY, _SURVIVING = itemgetter(4), itemgetter(5), itemgetter(6)
+
+
 class DynkinDiagram(NamedTuple):
     """Rooted leveled tree of exceptional curves of a tower-product blowup;
     nodes[0] is the root."""
@@ -336,20 +348,19 @@ class DynkinDiagram(NamedTuple):
     parents: tuple[int, ...]  # parent node index; -1 at the root
 
     def nu(self) -> int:
-        return sum(n.multiplicity for n in self.nodes if n.surviving)
+        return sum(compress(map(_MULTIPLICITY, self.nodes), map(_SURVIVING, self.nodes)))
 
     def length(self) -> int:
         """Colength by Hoskin-Deligne: the sum of o(o+1)/2 over the nodes,
         which are the infinitely near base points (Casas-Alvero,
         Singularities of Plane Curves, ch. 8).  The weight o of a node
-        counts the factors attached at or below it, which is its
+        counts the factors attached in its subtree, which is its
         multiplicity less its parent's; every tangent is rational, so every
         residue degree is 1."""
-        total = 0
-        for node, parent in zip(self.nodes, self.parents):
-            o = node.multiplicity - (self.nodes[parent].multiplicity if parent >= 0 else 0)
-            total += o * (o + 1) // 2
-        return total
+        multiplicity = list(map(_MULTIPLICITY, self.nodes))
+        parent_multiplicity = [0, *map(multiplicity.__getitem__, self.parents[1:])]
+        weights = list(map(sub, multiplicity, parent_multiplicity))
+        return (sum(map(mul, weights, weights)) + sum(weights)) // 2
 
 
 def build_dynkin(product: TowerProduct) -> DynkinDiagram:
@@ -365,13 +376,16 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     parent is the node one level down holding its members, and a factor
     (tower i, exponent k) attaches to the level-k node holding i.
 
-    Multiplicities are summed from the original factors only, and a node
-    survives iff one of its members has its level as an exponent, which is
-    exactly when a factor attaches to it (the completion's extra curves are
-    contracted on the actual blowup).  The divisor-degree check runs on every
-    diagram.  See the module docstring for the construction and its cost.
-    The nodes are counted from the classes at the event levels before any is
-    built, and more than DIAGRAM_CAP of them raise UnsupportedError.
+    Nodes are built a segment at a time: between two event levels the same
+    w classes each add a chain node per level, so past its first level each
+    node's parent is the node w before it.  A node's weight, the number of
+    factors in its subtree, is summed down each chain, and its multiplicity,
+    the weights of its ancestors and itself, up each chain: a factor
+    contributes to c the number of ancestors of c whose subtree holds the
+    factor's node.  A node survives iff a factor attaches to it (the
+    completion's extra curves are contracted on the actual blowup).  More
+    than DIAGRAM_CAP nodes, counted before any is built, raise
+    UnsupportedError; the divisor-degree check runs on every diagram.
     """
     towers = product.towers
     heights = [t.height for t in towers]
@@ -379,68 +393,56 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     order, depths = _agreement_order(towers)
     # the runs change only on the level after a height or an adjacent depth
     starts = sorted({1} | {e + 1 for e in (*heights, *depths) if e < top})
-    runs_from = {r: _classes_at(r, order, depths, heights) for r in starts}
-    count = sum(len(runs_from[r]) * (end - r) for r, end in zip(starts, [*starts[1:], top + 1]))
+    segments = [(r, end, _classes_at(r, order, depths, heights))
+                for r, end in zip(starts, [*starts[1:], top + 1])]
+    count = sum(len(runs) * (end - r) for r, end, runs in segments)
     if count > DIAGRAM_CAP:
         raise UnsupportedError(
             f"the diagram has {count} nodes, above the diagram cap of {DIAGRAM_CAP}"
         )
-    at_level: dict[int, list[int]] = {}  # level -> towers with that exponent, ascending
-    for i, t in enumerate(towers):
-        for k in t.exponents:
-            at_level.setdefault(k, []).append(i)
+    levels, members_of, parents = [], [], []
+    factors: list[tuple[tuple[int, int], ...]] = [()] * count
+    self_intersection = [-2] * count  # -1 - #children; one child inside a segment
+    spans = []  # (first node, class count, end node) of each segment
+    tail = [-1] * len(towers)  # each tower's node at the last level built
+    for r, end, runs in segments:
+        first, width = len(levels), len(runs)
+        stop = first + (end - r) * width
+        levels += sorted([*range(r, end)] * width)
+        members_of += runs * (end - r)
+        parents += [tail[members[0]] for members in runs]
+        parents += range(first, stop - width)
+        self_intersection[stop - width:stop] = [-1] * width
+        spans.append((first, width, stop))
+        for node, members in enumerate(runs, first):
+            for i in members:
+                tail[i] = stop - width + node - first
+                exps = towers[i].exponents
+                for k in exps[bisect_left(exps, r):bisect_left(exps, end)]:
+                    factors[node + (k - r) * width] += ((i, k),)
 
-    levels: list[int] = []
-    members_of: list[tuple[int, ...]] = []
-    parents: list[int] = []
-    attached: list[list[tuple[int, int]]] = []
-    classes: list[tuple[int, ...]] = []
-    class_of: dict[int, int] = {}  # tower -> position of its class in `classes`
-    tails: list[int] = []  # node of each class at the previous level
-    for r in range(1, top + 1):
-        runs = runs_from.get(r)
-        if runs is not None:
-            tails = [tails[class_of[members[0]]] if r > 1 else -1 for members in runs]
-            classes = runs
-            class_of = {i: c for c, members in enumerate(classes) for i in members}
-        first = len(levels)
-        for members, parent in zip(classes, tails):
-            levels.append(r)
-            members_of.append(members)
-            parents.append(parent)
-            attached.append([])
-        tails = list(range(first, len(levels)))
-        for i in at_level.get(r, ()):
-            attached[first + class_of[i]].append((i, r))
+    # weights summed down each chain, then into the parent below it
+    weight = list(map(len, factors))
+    for first, width, stop in reversed(spans):
+        for head in range(first, first + width):
+            weight[head:stop:width] = list(accumulate(weight[head:stop:width][::-1]))[::-1]
+            if first:
+                weight[parents[head]] += weight[head]
+                self_intersection[parents[head]] -= 1
+    # multiplicities: the parent's, then the weights summed up each chain
+    multiplicity = weight[:]
+    for first, width, stop in spans:
+        for head in range(first, first + width):
+            if first:
+                multiplicity[head] += multiplicity[parents[head]]
+            multiplicity[head:stop:width] = accumulate(multiplicity[head:stop:width])
 
-    edges = tuple((parents[i], i) for i in range(1, count))
-
-    # A factor contributes the level of its meet with c, which is the number
-    # of ancestors of c whose subtree holds the factor's node; parents
-    # precede their children in the node order.
-    below = [len(factors) for factors in attached]
-    children = [0] * count
-    for index in range(count - 1, 0, -1):
-        below[parents[index]] += below[index]
-        children[parents[index]] += 1
-    multiplicity = below[:]
-    for index in range(1, count):
-        multiplicity[index] += multiplicity[parents[index]]
-
-    nodes = [
-        DynkinNode(
-            index=index,
-            level=levels[index],
-            members=members_of[index],
-            factors=tuple(attached[index]),
-            self_intersection=-1 - children[index],
-            multiplicity=multiplicity[index],
-            surviving=bool(attached[index]),
-        )
-        for index in range(count)
-    ]
+    # tuple.__new__ is what DynkinNode._make calls, less its per-row length check
+    columns = (range(count), levels, members_of, factors, self_intersection, multiplicity)
+    nodes = tuple(map(tuple.__new__, repeat(DynkinNode), zip(*columns, map(bool, factors))))
+    edges = tuple(zip(parents[1:], range(1, count)))
     _check_contraction_degrees(nodes, edges)
-    return DynkinDiagram(nodes=tuple(nodes), edges=edges, parents=tuple(parents))
+    return DynkinDiagram(nodes, edges, tuple(parents))
 
 
 def _check_contraction_degrees(nodes, edges) -> None:
@@ -454,18 +456,20 @@ def _check_contraction_degrees(nodes, edges) -> None:
     zero exactly on the contracted ones.  Any violation means the computed
     multiplicities or the survival flags are wrong, so fail loudly.
     """
-    adjacency_sum = [0] * len(nodes)
+    multiplicity = list(map(_MULTIPLICITY, nodes))
+    degrees = list(map(mul, multiplicity, map(_SELF_INTERSECTION, nodes)))
     for a, b in edges:
-        adjacency_sum[a] += nodes[b].multiplicity
-        adjacency_sum[b] += nodes[a].multiplicity
-    for node in nodes:
-        degree = node.multiplicity * node.self_intersection + adjacency_sum[node.index]
-        if degree > 0 or (degree < 0) != node.surviving:
-            raise AssertionError(
-                f"divisor degree {degree} on the level-{node.level} curve "
-                f"contradicts multiplicity {node.multiplicity} / "
-                f"survival {node.surviving}"
-            )
+        degrees[a] += multiplicity[b]
+        degrees[b] += multiplicity[a]
+    if max(degrees) <= 0 and list(map(lt, degrees, repeat(0))) == list(map(_SURVIVING, nodes)):
+        return
+    node, degree = next((node, degree) for node, degree in zip(nodes, degrees)
+                        if degree > 0 or (degree < 0) != node.surviving)
+    raise AssertionError(
+        f"divisor degree {degree} on the level-{node.level} curve "
+        f"contradicts multiplicity {node.multiplicity} / "
+        f"survival {node.surviving}"
+    )
 
 
 class TowerNuSummary(NamedTuple):

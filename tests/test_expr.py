@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import accumulate
@@ -24,6 +25,7 @@ from behrend import (
     product_text,
     tower_text,
 )
+from behrend.expr import tangent_text
 
 
 class TestParsing:
@@ -148,6 +150,11 @@ MALFORMED_TOWERS = [
     ("tower(y; g=x + y; exps=[3])", "the tangent must be a polynomial in 'x'", 15),
     ("tower(x; g=y + 1; exps=[2])", "the tangent polynomial must vanish at 0", 16),
     ("tower(x; g=+; exps=[2])", "expected a tangent term", 12),
+    ("tower(x; g=y^; exps=[2])", "expected an integer exponent", 13),
+    ("tower(x; g=--y; exps=[2])", "expected a tangent term", 12),
+    ("tower(x; g=y*2; exps=[2])", "expected ';'", 12),
+    ("tower(x; g=2*; exps=[2])", "the tangent polynomial must vanish at 0", 13),
+    ("tower(x; g=3/0*y; exps=[2])", "zero denominator", 14),
     ("tower(x; g=y; exps=[1, \u0662])", "unexpected character '\u0662'", 23),
     ("tower(x; g=y; exps=[1, 2\u00e9])", "unexpected character '\u00e9'", 24),
 ]
@@ -158,6 +165,71 @@ def test_malformed_tower_diagnostics(text, message, position):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert (str(info.value), info.value.position) == (message, position)
+
+
+# Tangents the one-match reader accepts, and the tower each one parses to
+ACCEPTED_TANGENTS = [
+    ("2/3 y", (Fraction(2, 3),)),
+    ("+y", (1,)),
+    ("y + y", (2,)),
+    ("y - y", ()),
+    ("0*y^5", ()),
+    ("1 / 2 * y ^ 2", (0, Fraction(1, 2))),
+]
+
+
+@pytest.mark.parametrize("tangent,coefficients", ACCEPTED_TANGENTS)
+def test_accepted_tangent_forms(tangent, coefficients):
+    (atom, _), = parse(f"tower(x; g={tangent}; exps=[1, 6])").terms
+    assert atom == make_tower("x", coefficients, (1, 6))
+
+
+def test_sparse_tangent_text_round_trip():
+    rng = random.Random(71)
+    for _ in range(60):
+        branch, degree = rng.choice("xy"), rng.randint(1, 150)
+        tangent = [
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+            if rng.random() < 0.1 or d == degree else Fraction(0)
+            for d in range(1, degree + 1)
+        ]
+        text = tangent_text(tangent, "y" if branch == "x" else "x")
+        (atom, _), = parse(f"tower({branch}; g = {text}; exps = [{degree + 1}])").terms
+        assert atom.tangent == tuple(tangent)
+
+
+def test_one_match_tangent_reader_agrees_with_the_token_loop(monkeypatch):
+    # values, or error class, message and caret, with and without the match
+    from behrend import BehrendError, expr
+
+    rng = random.Random(73)
+    pieces = ["V", "2", "0", "1/2", "3/0", " ", "*", "^", "^3", "+", "-", "x", "_", "V V", "\t"]
+    terms = ["V", "2*V", "3/4 V^3", "V^2", "0*V^9", "V ^ 4", "2/3V", "1", "0", "1 / 3V"]
+    texts = []
+    for _ in range(1500):
+        branch = rng.choice("xy")
+        if rng.random() < 0.3:
+            g = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 6)))
+        else:
+            g = rng.choice(["", "-", "+ "]) + rng.choice(terms)
+            g += "".join(rng.choice([" + ", " - ", "-"]) + rng.choice(terms)
+                         for _ in range(rng.randint(0, 4)))
+            if rng.random() < 0.3:
+                i = rng.randrange(len(g) + 1)
+                g = g[:i] + rng.choice(pieces) + g[i:]
+        g = g.replace("V", "y" if branch == "x" else "x")
+        texts.append(f"tower({branch}; g={g}; exps=[{rng.randint(1, 3)}, 12])")
+
+    def outcome(text):
+        try:
+            return parse(text).terms
+        except BehrendError as error:
+            return type(error), str(error), getattr(error, "position", None)
+
+    matched = [outcome(text) for text in texts]
+    assert sum(isinstance(o, tuple) and isinstance(o[0], tuple) for o in matched) >= 400
+    monkeypatch.setattr(expr, "_TANGENT", re.compile("(?!)"))  # never matches
+    assert [outcome(text) for text in texts] == matched
 
 
 class TestPrinting:

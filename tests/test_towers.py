@@ -392,6 +392,63 @@ class TestTowerProduct:
         product = TowerProduct.from_factors(items)
         assert {(t.branch, t.tangent, t.exponents) for t in product.towers} == set(expected)
 
+    def test_whole_towers_pass_through(self):
+        # each group ends with exactly its tower's exponents: the exponent 1s
+        # float and come back to the towers that had them
+        items = [
+            complete("x", 4, (1,)),
+            make_tower("x", (-1, 2), (1, 3, 5)),
+            make_tower("y", (Fraction(1, 2),), (2, 6)),
+        ]
+        product = TowerProduct.from_factors(items)
+        assert sorted(map(id, product.towers)) == sorted(map(id, items))
+
+    def test_require_towers_builds_no_tower_after_parsing(self, monkeypatch):
+        elaborated = parse(
+            "tower(x; g = y + 2*y^3; exps = [1, 2, 3, 4, 5, 6])"
+            " * tower(x; g = y - y^2; exps = [1, 2, 3, 4])"
+            " * tower(x; g = -1/2*y; exps = [1, 2, 3])"
+        )
+        calls = []
+        original = towers.make_tower
+        monkeypatch.setattr(
+            towers, "make_tower", lambda *args: calls.append(args) or original(*args)
+        )
+        product = elaborated.require_towers()
+        assert calls == []
+        assert sorted(map(id, product.towers)) == sorted(id(atom) for atom, _ in elaborated.terms)
+
+    # an m, or a literal's own exponent 1, fills the first tower lacking 1 in
+    # (branch, tangent) order, then new monomial towers on x and on y
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("tower(x; g=y; exps=[2, 3]) * tower(x; g=2*y; exps=[1, 2])",
+             [("x", (1,), (1, 2, 3)), ("x", (2,), (2,))]),
+            ("tower(x; g=-y; exps=[1, 3]) * tower(x; g=y; exps=[1, 2])"
+             " * tower(x; g=0; exps=[2])",
+             [("x", (), (1, 2)), ("x", (-1,), (1, 3)), ("x", (1,), (2,))]),
+            ("tower(x; g=y; exps=[1, 2]) * m", [("x", (), (1,)), ("x", (1,), (1, 2))]),
+            ("tower(x; g=y; exps=[2, 3]) * m", [("x", (1,), (1, 2, 3))]),
+            ("tower(x; g=y; exps=[2, 3]) * m^2", [("x", (), (1,)), ("x", (1,), (1, 2, 3))]),
+            ("m * tower(x; g=2*y; exps=[2, 4]) * tower(x; g=y; exps=[2, 3])",
+             [("x", (1,), (1, 2, 3)), ("x", (2,), (2, 4))]),
+            ("tower(y; g=2*x; exps=[2]) * tower(x; g=y; exps=[3]) * m",
+             [("x", (1,), (1, 3)), ("y", (2,), (2,))]),
+            ("tower(y; g=0; exps=[1, 2]) * tower(x; g=y; exps=[2, 3]) * m",
+             [("x", (1,), (1, 2, 3)), ("y", (), (1, 2))]),
+            ("tower(x; g=y; exps=[3]) * m * tower(x; g=-y; exps=[2])",
+             [("x", (-1,), (1, 2)), ("x", (1,), (3,))]),
+            # literals on one tangent merge; a merged group is rebuilt
+            ("tower(x; g=y; exps=[1, 3]) * tower(x; g=y; exps=[2])", [("x", (1,), (1, 2, 3))]),
+            ("tower(x; g=0; exps=[2]) * tower(x; g=y; exps=[1, 2]) * tower(x; g=y; exps=[3])",
+             [("x", (), (1, 2)), ("x", (1,), (2, 3))]),
+        ],
+    )
+    def test_exponent_one_placement(self, text, expected):
+        product = parse(text).require_towers()
+        assert [(t.branch, t.tangent, t.exponents) for t in product.towers] == expected
+
     def test_same_key_towers_rejected_directly(self):
         with pytest.raises(DomainError):
             TowerProduct([complete("x", 2), complete("x", 3)])
@@ -460,6 +517,43 @@ class TestReferenceEngine:
                 > len(n.members) for n in diagram.nodes
             )
         assert deep_forks >= 50
+
+    def test_matches_per_level_engine_at_benchmark_heights(self):
+        rng = random.Random(61)
+
+        def coefficient():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+        def sparse(height, share):
+            picked = rng.sample(range(1, height), max(1, round((height - 1) * share)))
+            return sorted(picked) + [height]
+
+        prefix = [coefficient() if rng.random() < 0.5 else 0 for _ in range(59)]
+        shapes = [
+            # forked complete towers, distinct linear terms
+            [complete("x", h, (c, coefficient())) for h, c in ((100, 1), (97, -2), (94, 3))],
+            # two towers agreeing to degree 60
+            [complete("x", 120, prefix + [1]), complete("x", 118, prefix + [-1])],
+            # one sparse tower
+            [make_tower("x", (coefficient(), coefficient()), sparse(120, 0.25))],
+            # forked sparse towers
+            [make_tower("x", (c,), sparse(h, 0.3)) for h, c in ((90, 1), (88, 2), (86, -1))],
+            # monomial towers on both branches
+            [make_tower("x", (), sparse(120, 0.3)), make_tower("y", (), sparse(118, 0.3))],
+            # curvilinear towers on both branches
+            [complete("x", 90, (2, coefficient())), complete("y", 45, (Fraction(1, 3),))],
+        ]
+        products = [TowerProduct.from_factors(towers) for towers in shapes]
+        products += [forked_product(rng, max_height=60) for _ in range(30)]
+        for product in products:
+            diagram = build_dynkin(product)
+            actual = [
+                (n.level, n.members, n.factors, diagram.parents[n.index],
+                 n.self_intersection, n.multiplicity, n.surviving)
+                for n in diagram.nodes
+            ]
+            assert actual == reference_dynkin(product)
+        assert max(len(build_dynkin(p).nodes) for p in products) >= 250
 
     def test_diagram_cap_counts_the_nodes_before_building(self, monkeypatch):
         rng = random.Random(59)
