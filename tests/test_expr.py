@@ -120,6 +120,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse("m^2 extra")
 
+    def test_exponent_list_separators_are_whitespace(self):
+        # \s matches \x1c-\x1f, which int() does not strip
+        (atom, _), = parse("tower(x; g=y; exps=[1,\x1c2 ,\x1f3])").terms
+        assert atom.exponents == (1, 2, 3)
+
     def test_tower_validation_propagates(self):
         with pytest.raises(DomainError):
             parse("tower(x; g = y^3; exps = [2])")  # deg g >= height
