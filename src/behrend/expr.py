@@ -19,9 +19,8 @@ Elaborated picks the route that answers each query.
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
 outside the grammar runs first, so that such a character is reported before
-any other error.  A tower's tangent polynomial and its exponent list are
-each read in one anchored match; the token loop reads them only when the
-match finds them malformed, to place the caret.
+any other error.  A tower literal is read in one anchored match; the token
+loop reads it only when the match finds it malformed, to place the caret.
 """
 
 from __future__ import annotations
@@ -48,12 +47,14 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|(?P<end>))"
 )
 _BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
-# A whole well-formed exponent list, from its first entry to before its "]"
-_EXPONENTS = re.compile(r"[0-9]+(?:\s*,\s*[0-9]+)*(?=\s*\])")
-# A whole well-formed tangent polynomial in x or y, to before its ";", and its
-# terms: sign, numerator, denominator, variable and exponent
+# A whole well-formed tower literal (branch, tangent polynomial in x or y,
+# exponent list), and the terms of its tangent: sign, numerator, denominator,
+# variable and exponent
 _TERM = r"(?:(?:[0-9]+(?:\s*/\s*[0-9]+)?\s*\*?\s*)?[xy](?:\s*\^\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?)"
-_TANGENT = re.compile(rf"[-+]?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*(?=\s*;)")
+_TOWER = re.compile(
+    rf"tower\s*\(\s*([xy])\s*;\s*g\s*=\s*([-+]?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)"
+    r"\s*;\s*exps\s*=\s*\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]\s*\)"
+)
 _TANGENT_TERMS = re.compile(
     r"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*\*?\s*)?(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
 )
@@ -356,6 +357,16 @@ class _Parser:
         return (exponents["x"] or 0, exponents["y"] or 0)
 
     def tower_literal(self) -> Tower:
+        from .towers import make_tower
+
+        written = _TOWER.match(self.text, self.token.pos)
+        terms = written and _tangent_terms(written[2], "y" if written[1] == "x" else "x")
+        if terms is not None:  # the whole literal in one match
+            self.pos = written.end()
+            self.advance()
+            exps = re.findall("[0-9]+", written[3])  # int() refuses \x1c-\x1f of \s
+            return make_tower(written[1], self.coefficients(terms), exps)
+        # a malformed literal: the token loop places the caret
         self.expect("name", "'tower'")
         self.expect("(", "'(' after tower")
         branch_token = self.expect("name", "a branch ('x' or 'y')")
@@ -374,41 +385,32 @@ class _Parser:
             self.fail("expected 'exps'", key)
         self.expect("=", "'='")
         self.expect("[", "'['")
-        listed = _EXPONENTS.match(self.text, self.token.pos)
-        if listed:  # the whole list in one match
-            self.pos = listed.end()
+        exps = [self.expect_int("an exponent")]
+        while self.token.kind == ",":
             self.advance()
-            exps = re.findall("[0-9]+", listed.group())  # int() refuses \x1c-\x1f of \s
-        else:  # a malformed list: the token loop places the caret
-            exps = [self.expect_int("an exponent")]
-            while self.token.kind == ",":
-                self.advance()
-                exps.append(self.expect_int("an exponent"))
+            exps.append(self.expect_int("an exponent"))
         self.expect("]", "']'")
         self.expect(")", "')' closing the tower")
-        from .towers import make_tower
-
         return make_tower(branch, tangent, exps)
 
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients
-        and zero constant term; returns dense coefficients of degree 1, 2, ...,
-        refused before they are built when the degree exceeds the diagram cap."""
-        written = _TANGENT.match(self.text, self.token.pos)
-        terms = _tangent_terms(written.group(), variable) if written else None
-        if terms is not None:
-            self.pos = written.end()
-            self.advance()
-        else:  # the token loop places the caret
-            terms = []
-            while True:
-                sign = -1 if self.token.kind == "-" else 1
-                if self.token.kind in ("+", "-"):
-                    self.advance()
-                numerator, denominator, degree = self.tangent_term(variable)
-                terms.append((degree, Fraction(sign * numerator, denominator)))
-                if self.token.kind not in ("+", "-"):
-                    break
+        and zero constant term."""
+        terms = []
+        while True:
+            sign = -1 if self.token.kind == "-" else 1
+            if self.token.kind in ("+", "-"):
+                self.advance()
+            numerator, denominator, degree = self.tangent_term(variable)
+            terms.append((degree, Fraction(sign * numerator, denominator)))
+            if self.token.kind not in ("+", "-"):
+                break
+        return self.coefficients(terms)
+
+    def coefficients(self, terms) -> list[Fraction]:
+        """Dense coefficients of degree 1, 2, ... of the summed (degree,
+        coefficient) terms, refused before they are built when the degree
+        exceeds the diagram cap."""
         coefficients: dict[int, Fraction] = {}
         for degree, term in terms:
             coefficients[degree] = coefficients[degree] + term if degree in coefficients else term
@@ -453,8 +455,9 @@ class _Parser:
 
 
 def _tangent_terms(written: str, variable: str) -> list[tuple[int, Fraction]] | None:
-    """(degree, coefficient) of each term of a polynomial that matched _TANGENT,
-    or None when a term is in the other variable or a denominator is 0."""
+    """(degree, coefficient) of each term of a tangent polynomial that _TOWER
+    matched, or None when a term is in the other variable, a denominator is
+    0 or the constant term is not."""
     terms = []
     for sign, numerator, denominator, name, degree in _TANGENT_TERMS.findall(written):
         if name not in ("", variable) or denominator and not int(denominator):
@@ -462,7 +465,7 @@ def _tangent_terms(written: str, variable: str) -> list[tuple[int, Fraction]] | 
         if numerator or name:  # not the empty match at the end
             term = Fraction(int(sign + (numerator or "1")), int(denominator or 1))
             terms.append((int(degree or 1) if name else 0, term))
-    return terms
+    return None if sum(term for degree, term in terms if not degree) else terms
 
 
 def parse(text: str) -> Elaborated:
