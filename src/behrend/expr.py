@@ -49,13 +49,13 @@ _TOKEN = re.compile(
 _BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
 # A whole well-formed tower literal (branch, tangent polynomial in x or y,
 # exponent list), and the terms of its tangent: sign, numerator, denominator,
-# variable and exponent
+# variable and exponent; compiled on first use, through re's cache
 _TERM = r"(?:(?:[0-9]+(?:\s*/\s*[0-9]+)?\s*\*?\s*)?[xy](?:\s*\^\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?)"
-_TOWER = re.compile(
+_TOWER = (
     rf"tower\s*\(\s*([xy])\s*;\s*g\s*=\s*([-+]?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)"
     r"\s*;\s*exps\s*=\s*\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]\s*\)"
 )
-_TANGENT_TERMS = re.compile(
+_TANGENT_TERMS = (
     r"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*\*?\s*)?(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
 )
 
@@ -359,7 +359,7 @@ class _Parser:
     def tower_literal(self) -> Tower:
         from .towers import make_tower
 
-        written = _TOWER.match(self.text, self.token.pos)
+        written = re.compile(_TOWER).match(self.text, self.token.pos)
         terms = written and _tangent_terms(written[2], "y" if written[1] == "x" else "x")
         if terms is not None:  # the whole literal in one match
             self.pos = written.end()
@@ -459,7 +459,7 @@ def _tangent_terms(written: str, variable: str) -> list[tuple[int, Fraction]] | 
     matched, or None when a term is in the other variable, a denominator is
     0 or the constant term is not."""
     terms = []
-    for sign, numerator, denominator, name, degree in _TANGENT_TERMS.findall(written):
+    for sign, numerator, denominator, name, degree in re.findall(_TANGENT_TERMS, written):
         if name not in ("", variable) or denominator and not int(denominator):
             return None
         if numerator or name:  # not the empty match at the end
