@@ -19,8 +19,9 @@ Elaborated picks the route that answers each query.
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
 outside the grammar runs first, so that such a character is reported before
-any other error.  A tower literal is read in one anchored match; the token
-loop reads it only when the match finds it malformed, to place the caret.
+any other error.  Past its "g =", a tower literal is read with one anchored
+match per tangent term and one for its exponent list; the token loop reads
+that part only when they find it malformed, to place the caret.
 """
 
 from __future__ import annotations
@@ -47,17 +48,15 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|(?P<end>))"
 )
 _BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
-# A whole well-formed tower literal (branch, tangent polynomial in x or y,
-# exponent list), and the terms of its tangent: sign, numerator, denominator,
-# variable and exponent; compiled on first use, through re's cache
-_TERM = r"(?:(?:[0-9]+(?:\s*/\s*[0-9]+)?\s*\*?\s*)?[xy](?:\s*\^\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?)"
-_TOWER = (
-    rf"tower\s*\(\s*([xy])\s*;\s*g\s*=\s*([-+]?\s*{_TERM}(?:\s*[-+]\s*{_TERM})*)"
-    r"\s*;\s*exps\s*=\s*\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]\s*\)"
+# The rest of a well-formed tower literal after "g =": each term of its
+# tangent (sign, numerator, denominator, variable, exponent), then its
+# exponent list.  Each term is its own match with one parse, so a malformed
+# literal costs linear time.  Compiled on first use, through re's cache.
+_TERM = (
+    r"\s*(?:([-+])\s*)?(?=[0-9xy])(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*(?:\*\s*)?)?"
+    r"(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
 )
-_TANGENT_TERMS = (
-    r"\s*([-+]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*\*?\s*)?(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
-)
+_TAIL = r"\s*;\s*exps\s*=\s*\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]\s*\)"
 
 
 class Token(NamedTuple):
@@ -359,14 +358,6 @@ class _Parser:
     def tower_literal(self) -> Tower:
         from .towers import make_tower
 
-        written = re.compile(_TOWER).match(self.text, self.token.pos)
-        terms = written and _tangent_terms(written[2], "y" if written[1] == "x" else "x")
-        if terms is not None:  # the whole literal in one match
-            self.pos = written.end()
-            self.advance()
-            exps = re.findall("[0-9]+", written[3])  # int() refuses \x1c-\x1f of \s
-            return make_tower(written[1], self.coefficients(terms), exps)
-        # a malformed literal: the token loop places the caret
         self.expect("name", "'tower'")
         self.expect("(", "'(' after tower")
         branch_token = self.expect("name", "a branch ('x' or 'y')")
@@ -378,7 +369,14 @@ class _Parser:
         if key.value != "g":
             self.fail("expected 'g'", key)
         self.expect("=", "'='")
-        tangent = self.tangent_poly("y" if branch == "x" else "x")
+        variable = "y" if branch == "x" else "x"
+        read = _read_tangent_and_exponents(self.text, self.token.pos, variable)
+        if read:  # the rest of the literal without the token loop
+            terms, exps, self.pos = read
+            self.advance()
+            return make_tower(branch, self.coefficients(terms), exps)
+        # a malformed rest: the token loop places the caret
+        tangent = self.tangent_poly(variable)
         self.expect(";", "';'")
         key = self.expect("name", "'exps'")
         if key.value != "exps":
@@ -454,18 +452,23 @@ class _Parser:
         return numerator, denominator, 0
 
 
-def _tangent_terms(written: str, variable: str) -> list[tuple[int, Fraction]] | None:
-    """(degree, coefficient) of each term of a tangent polynomial that _TOWER
-    matched, or None when a term is in the other variable, a denominator is
-    0 or the constant term is not."""
-    terms = []
-    for sign, numerator, denominator, name, degree in re.findall(_TANGENT_TERMS, written):
-        if name not in ("", variable) or denominator and not int(denominator):
+def _read_tangent_and_exponents(text: str, pos: int, variable: str):
+    """(degree, coefficient) terms of the tangent at pos, the exponents and
+    the end of the tower literal, or None when the token loop must read
+    them: the text is malformed, a term is not in variable, a denominator
+    is 0 or the constant term is not."""
+    term_at, terms = re.compile(_TERM).match, []
+    while (term := term_at(text, pos)) and (term[1] or not terms):  # a sign between terms
+        sign, numerator, denominator, name, degree = term.groups()
+        if name not in (None, variable) or denominator and not int(denominator):
             return None
-        if numerator or name:  # not the empty match at the end
-            term = Fraction(int(sign + (numerator or "1")), int(denominator or 1))
-            terms.append((int(degree or 1) if name else 0, term))
-    return None if sum(term for degree, term in terms if not degree) else terms
+        coefficient = Fraction(int((sign or "") + (numerator or "1")), int(denominator or 1))
+        terms.append((int(degree or 1) if name else 0, coefficient))
+        pos = term.end()
+    tail = re.compile(_TAIL).match(text, pos)
+    if not terms or not tail or sum(c for degree, c in terms if not degree):
+        return None
+    return terms, re.findall("[0-9]+", tail[1]), tail.end()  # int() refuses \x1c-\x1f of \s
 
 
 def parse(text: str) -> Elaborated:

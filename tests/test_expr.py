@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -172,6 +173,29 @@ def test_malformed_tower_diagnostics(text, message, position):
     assert (str(info.value), info.value.position) == (message, position)
 
 
+# A malformed end after many implicit-product terms ("1 y^j"): each term has
+# one parse, so the reader gives up in linear time.  A pattern that let the
+# space of "1 y" split two ways took over 2 s at 20 terms, doubling per term.
+MANY_TERMS = " + ".join(f"1 y^{j}" for j in range(1, 25))
+
+
+@pytest.mark.parametrize(
+    "tail,message,position",
+    [
+        ("exps=[1,,30])", "expected an exponent", 225),
+        ("exps=[1, 30,])", "expected an exponent", 229),
+        ("exps=[1, 30]", "expected ')' closing the tower", 229),
+        ("exsp=[1, 30])", "expected 'exps'", 217),
+    ],
+)
+def test_malformed_tail_after_many_terms_fails_fast(tail, message, position):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse(f"tower(x; g={MANY_TERMS}; {tail}")
+    assert time.perf_counter() - start < 0.5
+    assert (str(info.value), info.value.position) == (message, position)
+
+
 # Tangents the one-match reader accepts, and the tower each one parses to
 ACCEPTED_TANGENTS = [
     ("2/3 y", (Fraction(2, 3),)),
@@ -209,7 +233,8 @@ def test_one_match_tangent_reader_agrees_with_the_token_loop(monkeypatch):
 
     rng = random.Random(73)
     pieces = ["V", "2", "0", "1/2", "3/0", " ", "*", "^", "^3", "+", "-", "x", "_", "V V", "\t"]
-    terms = ["V", "2*V", "3/4 V^3", "V^2", "0*V^9", "V ^ 4", "2/3V", "1", "0", "1 / 3V"]
+    terms = ["V", "2*V", "3/4 V^3", "V^2", "0*V^9", "V ^ 4", "2/3V", "1", "0", "1 / 3V", "2 V",
+             "5 * V ^ 2"]
     texts = []
     for _ in range(1500):
         branch = rng.choice("xy")
@@ -233,7 +258,7 @@ def test_one_match_tangent_reader_agrees_with_the_token_loop(monkeypatch):
 
     matched = [outcome(text) for text in texts]
     assert sum(isinstance(o, tuple) and isinstance(o[0], tuple) for o in matched) >= 400
-    monkeypatch.setattr(expr, "_TOWER", "(?!)")  # never matches
+    monkeypatch.setattr(expr, "_TERM", "(?!)")  # never matches
     assert [outcome(text) for text in texts] == matched
 
 
