@@ -132,6 +132,13 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
     return Tower(branch=branch, tangent=coeffs, exponents=exps)
 
 
+def _is_canonical(tower: Tower) -> bool:
+    """Whether make_tower keeps the tower's fields as they are (number types aside)."""
+    exps, tangent = tower.exponents, tower.tangent
+    return (tower.branch in BRANCHES and exps[0] > 0 and all(map(lt, exps, exps[1:]))
+            and len(tangent) < exps[-1] and tangent[-1:] != (0,))
+
+
 def tower_length(tower: Tower) -> int:
     """Colength: sum over k of i_1 + ... + i_k."""
     partial = list(accumulate(tower.exponents))
@@ -220,13 +227,15 @@ class TowerProduct:
         """Group raw factors, and whole towers, into towers.
 
         Each item is a Factor or a Tower; a Tower stands for the factors of
-        its exponents, with its tangent already canonical.  Same-(branch,
+        its exponents.  Same-(branch,
         tangent) factors merge by exponent union; a repeated exponent within
         a group is a repeated ideal factor, i.e. a power, which the engine
         does not model.  Exponent-1 factors all cut out m; they fill the
         groups lacking exponent 1 in sorted order, then new monomial towers
-        on x and on y.  A Tower whose group ends with exactly its exponents
-        is passed on as it is; make_tower rebuilds only the other groups.
+        on x and on y.  A Tower that make_tower would keep as it is, alone
+        in a group that ends with exactly its exponents, is passed on; make_tower
+        rebuilds every other group, so a Tower not built by make_tower is
+        canonicalized or refused as make_tower would.
         """
         floating = 0
         groups: dict[tuple, list] = {}  # key -> [exponents, the lone Tower or None]
@@ -237,13 +246,15 @@ class TowerProduct:
                 exponents = exponents[1:]
                 if not exponents:
                     continue
+            lone = None  # a Tower that may pass through
             if isinstance(item, Tower):
                 key = (item.branch, item.tangent)
+                lone = item if _is_canonical(item) else None
             elif item.branch is None:
                 raise DomainError("a bare maximal-ideal factor must have exponent 1")
             else:
                 key = (item.branch, _as_coefficients(item.tangent))
-            group = groups.setdefault(key, [set(), item if isinstance(item, Tower) else None])
+            group = groups.setdefault(key, [set(), lone])
             if not group[0].isdisjoint(exponents):
                 raise UnsupportedError(
                     "repeated tower factor: powers scale nu linearly "

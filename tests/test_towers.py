@@ -403,6 +403,22 @@ class TestTowerProduct:
         product = TowerProduct.from_factors(items)
         assert sorted(map(id, product.towers)) == sorted(map(id, items))
 
+    def test_non_canonical_towers_are_rebuilt(self):
+        # a Tower made without make_tower is canonicalized or refused, not passed on
+        unsorted = towers.Tower("x", (), (3, 2))
+        product = TowerProduct.from_factors([unsorted])
+        assert product.towers[0] is not unsorted
+        assert product.towers[0].exponents == (2, 3)
+        trailing_zero = towers.Tower("x", (Fraction(1), Fraction(0)), (2, 5))
+        (rebuilt,) = TowerProduct.from_factors([trailing_zero]).towers
+        assert rebuilt.tangent == (1,)
+        with pytest.raises(DomainError, match="sharing branch and tangent"):
+            TowerProduct.from_factors([trailing_zero, make_tower("x", (1,), (3,))])
+        with pytest.raises(DomainError, match="tangent degree 2 must be smaller"):
+            TowerProduct.from_factors([towers.Tower("x", (Fraction(1), Fraction(1)), (2,))])
+        with pytest.raises(DomainError, match="branch must be"):
+            TowerProduct.from_factors([towers.Tower("z", (), (2,))])
+
     def test_require_towers_builds_no_tower_after_parsing(self, monkeypatch):
         elaborated = parse(
             "tower(x; g = y + 2*y^3; exps = [1, 2, 3, 4, 5, 6])"
