@@ -196,7 +196,7 @@ def test_malformed_tail_after_many_terms_fails_fast(tail, message, position):
     assert (str(info.value), info.value.position) == (message, position)
 
 
-# Tangents the one-match reader accepts, and the tower each one parses to
+# Tangents the per-term reader accepts, and the tower each one parses to
 ACCEPTED_TANGENTS = [
     ("2/3 y", (Fraction(2, 3),)),
     ("+y", (1,)),
@@ -227,7 +227,7 @@ def test_sparse_tangent_text_round_trip():
         assert atom.tangent == tuple(tangent)
 
 
-def test_one_match_tangent_reader_agrees_with_the_token_loop(monkeypatch):
+def test_tangent_reader_agrees_with_the_token_loop(monkeypatch):
     # values, or error class, message and caret, with and without the match
     from behrend import BehrendError, expr
 
