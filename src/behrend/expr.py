@@ -67,7 +67,7 @@ class Token(NamedTuple):
 
 # Most generators require_ideal multiplies out.  The cost grows as the square
 # of the count: at 1,000 the slowest product tried, (x^3, x y, y^3)^499, takes
-# about 0.3 s on a 2-core host, and at 2,000 (x^3, x y, y^3)^999 takes 1.8 s.
+# about 0.06 s on a 2-core host, and at 2,000 (x^3, x y, y^3)^999 0.3 s.
 EXPANSION_CAP = 1000
 
 

@@ -7,6 +7,8 @@ structural.  All exponents are plain Python integers, so nothing overflows.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import index
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -14,12 +16,20 @@ from .errors import DomainError
 Exponent = tuple[int, int]
 
 
+def _exponent(value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"exponent {value!r} is not an integer") from None
+
+
 def minimal_generators(exponents) -> tuple[Exponent, ...]:
     """Divisibility-minimal subset of a nonempty set of exponent pairs.
 
-    Idempotent, and membership in the generated ideal is unchanged.
+    Idempotent, and membership in the generated ideal is unchanged.  An
+    exponent must be an integer (operator.index); 1.5 is refused, not rounded.
     """
-    points = sorted({(int(a), int(b)) for a, b in exponents})
+    points = sorted({(_exponent(a), _exponent(b)) for a, b in exponents})
     if not points:
         raise DomainError("a monomial ideal needs at least one generator")
     if points[0][0] < 0 or any(b < 0 for _, b in points):
@@ -112,12 +122,21 @@ class MonomialIdeal:
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        sums = {
-            (a1 + a2, b1 + b2)
-            for a1, b1 in self.generators
-            for a2, b2 in other.generators
-        }
-        return MonomialIdeal(sums)
+        """Minimal generators of the pair sums, in one integer-coded pass.
+
+        Every b of a sum is below K = b_self + b_other + 1 (a side's first b
+        is its largest), so x^a y^b coded a*K + b sorts in (a, b) order; a
+        sorted code is kept iff code % K is below the last kept one's b."""
+        A, B = self.generators, other.generators
+        K = A[0][1] + B[0][1] + 1
+        right = [a * K + b for a, b in B]
+        sums = {c + e for c in [a * K + b for a, b in A] for e in right}
+        kept, low = [], K
+        for code in sorted(sums):
+            if code % K < low:
+                kept.append(code)
+                low = code % K
+        return MonomialIdeal._canonical(map(divmod, kept, repeat(K)), None)
 
     def __pow__(self, d: int) -> "MonomialIdeal":
         """Square and multiply from the low bit, squaring no further than the

@@ -1,8 +1,10 @@
 import copy
 import pickle
+import re
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from behrend import (
@@ -42,6 +44,23 @@ def finite_ideals(draw, box=8):
     return MonomialIdeal(gens)
 
 
+@st.composite
+def any_ideals(draw):
+    """Any monomial ideal: the unit ideal, ones without finite colength, and
+    exponents up to 10^12."""
+    top = draw(st.sampled_from([2, 9, 10**12]))
+    coordinate = st.integers(0, top)
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6))
+    return MonomialIdeal(points)
+
+
+def product_by_definition(I, J):
+    """The minimal generators of every pair sum, canonicalized by the constructor."""
+    return MonomialIdeal(
+        {(a1 + a2, b1 + b2) for a1, b1 in I.generators for a2, b2 in J.generators}
+    )
+
+
 def brute_minimal(points):
     """The points no other point divides, by comparing every pair."""
     points = set(points)
@@ -74,6 +93,19 @@ class TestMinimalGenerators:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             minimal_generators([(-1, 0)])
+
+    @pytest.mark.parametrize(
+        "gens,bad",
+        [
+            ([(1.5, 0), (0, 1)], "1.5"),
+            ([(Fraction(7, 2), 0), (0, 2)], "Fraction(7, 2)"),
+            ([(3, 0), (0, "2")], "'2'"),
+        ],
+    )
+    def test_non_integral_exponent_rejected(self, gens, bad):
+        # once truncated by int(): (x^1.5, y) read as (x, y), x^(7/2) as x^3
+        with pytest.raises(DomainError, match=re.escape(f"exponent {bad} is not an integer")):
+            MonomialIdeal(gens)
 
     @given(finite_ideals())
     def test_membership_unchanged(self, I):
@@ -118,17 +150,30 @@ class TestProductAndPower:
     def test_normalized_power_identity(self):
         assert n_ab(2, 3) ** 2 == n_ab(4, 6)
 
-    @given(finite_ideals(box=5), st.integers(1, 9))
-    @settings(max_examples=60)
+    @given(any_ideals(), st.integers(1, 12))
+    @settings(max_examples=80)
     def test_power_is_the_repeated_product(self, I, d):
         product = I
         for _ in range(d - 1):
-            product = product * I
+            product = product_by_definition(product, I)
         assert I**d == product
 
     def test_first_power_is_the_ideal_itself(self):
         I = n_ab(5, 7)
         assert I**1 is I
+        J = ideal((3, 0), (1, 1), (0, 3))
+        assert J**1 is J
+
+    @given(any_ideals(), any_ideals())
+    @example(ideal((1, 1)), ideal((2, 1), (1, 3)))
+    @example(UNIT_IDEAL, ideal((2, 1), (1, 3)))
+    @example(ideal((10**12, 0), (0, 10**12)), ideal((1, 10**12 - 1), (10**12, 0)))
+    @settings(max_examples=200)
+    def test_product_is_the_minimal_pair_sums(self, I, J):
+        product = I * J
+        assert product == product_by_definition(I, J)
+        assert product.generators == product_by_definition(J, I).generators
+        assert product._polygon is None
 
     @given(finite_ideals(box=5), finite_ideals(box=5))
     @settings(max_examples=60)

@@ -107,10 +107,17 @@ def test_dynkin_of_monomial_tower_pair_skips_the_ideal():
         (("nu", "m^1000000"), "nu = 1000000"),
         (("length", "m^1000000"), "length = 500000500000"),
         (("nu", "n(99,99)^99"), "nu = 9801"),
+        # the EXPANSION_CAP comment's slowest product; its base is normal
+        (("length", "(x^3, x y, y^3)^499"), "length = 748001"),
     ],
 )
 def test_powers_of_normal_atoms_read_the_polygon(argv, first):
     assert behrend(*argv).splitlines()[0] == first
+
+
+def test_power_of_a_non_normal_base_is_multiplied_out():
+    out = behrend("nu", "(x^6, x^3 y^2, y^7)^100").splitlines()
+    assert out[:3] == ["nu = 3300", "length = 166050", "normal = false"]
 
 
 def refusing(methods: str, argv) -> str:
