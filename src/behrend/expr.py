@@ -81,8 +81,8 @@ class Elaborated(NamedTuple):
 
     length, nu, normal, factors and staircase take the first route that fits:
       - for length and nu of non-monomial towers, the diagram engine on the
-        grouped product (require_towers), or tower_length's closed form for
-        the length of a single tower, O(#exponents) however tall;
+        product of their factors (require_towers), or tower_length's closed
+        form for the length of a single tower, O(#exponents) however tall;
       - for a product of normal atoms (n(a,b), m, monomial towers, normal
         generator lists), which is normal (Zariski), the sum of their Newton
         polygons (polygon), at a cost set by the edges, not the exponents;
@@ -197,21 +197,21 @@ class Elaborated(NamedTuple):
         return ideal
 
     def require_towers(self) -> TowerProduct:
+        """The towers of d copies of each term's factors (an m is one), at most DIAGRAM_CAP."""
         if any(isinstance(atom, (MonomialIdeal, NabFactor)) for atom, _ in self.terms):
             raise UnsupportedError(
                 "this expression is not a product of towers (raw generator "
                 "lists and n(a,b) atoms have no tower form)"
             )
-        from .towers import Factor, TowerProduct
+        from .towers import DIAGRAM_CAP, Factor, TowerProduct
 
-        # from_factors refuses a repeated tower factor, and fits an m into
-        # each tower lacking exponent 1 plus two new ones: more copies than
-        # len(terms) + 2 change nothing
-        copies = len(self.terms) + 2
+        count = sum(d * (1 if atom == "m" else len(atom.exponents)) for atom, d in self.terms)
+        if count > DIAGRAM_CAP:
+            raise UnsupportedError(f"the product has {count} tower factors, "
+                                   f"above the diagram cap of {DIAGRAM_CAP}")
+        m = Factor(None, (), 1)
         return TowerProduct.from_factors(
-            item
-            for atom, d in self.terms
-            for item in (Factor(None, (), 1) if atom == "m" else atom,) * min(d, copies)
+            item for atom, d in self.terms for item in (m if atom == "m" else atom,) * d
         )
 
 
@@ -374,7 +374,7 @@ class _Parser:
         if read:  # the rest of the literal without the token loop
             terms, exps, self.pos = read
             self.advance()
-            return make_tower(branch, self.coefficients(terms), exps)
+            return make_tower(branch, self.coefficients(terms), map(int, exps))
         # a malformed rest: the token loop places the caret
         tangent = self.tangent_poly(variable)
         self.expect(";", "';'")

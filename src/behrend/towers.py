@@ -1,8 +1,9 @@
 """Towers of curvilinear ideals and the leveled diagram engine for products.
 
 A tower is a product of curvilinear factors sharing one branch and tangent,
-    (x + g(y)) + m^{i_1} * ... * (x + g(y)) + m^{i_s},   i_1 < ... < i_s,
-(or the transpose in y), with deg g < i_s.  Towers are normal; their blowups,
+    (x + g(y)) + m^{i_1} * ... * (x + g(y)) + m^{i_s},   i_1 <= ... <= i_s,
+(or the transpose in y), with deg g < i_s; a repeated exponent is a repeated
+factor, as in a power.  Towers are normal; their blowups,
 and the blowups of products of towers, are governed by a rooted leveled tree
 whose nodes are exceptional curves.  The engine here builds that tree from
 tangent-agreement classes, computes the multiplicity of every curve from
@@ -42,12 +43,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, compress, repeat
-from operator import itemgetter, lt, mul, sub
+from itertools import accumulate, compress, groupby, repeat
+from operator import itemgetter, le, lt, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _exponent
 
 BRANCHES = ("x", "y")
 
@@ -117,26 +118,19 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
     """Validate and build a tower; each broken precondition is its own error."""
     if branch not in BRANCHES:
         raise DomainError(f"branch must be 'x' or 'y', not {branch!r}")
-    exps = tuple(map(int, exponents))
+    exps = tuple(map(_exponent, exponents))
     if not exps:
         raise DomainError("a tower needs at least one exponent")
     if exps[0] < 1:
         raise DomainError("tower exponents must be positive")
-    if not all(map(lt, exps, exps[1:])):
-        raise DomainError("tower exponents must be strictly increasing")
+    if not all(map(le, exps, exps[1:])):
+        raise DomainError("tower exponents must be nondecreasing")
     coeffs = _as_coefficients(tangent)
     if len(coeffs) >= exps[-1]:
         raise DomainError(
             f"tangent degree {len(coeffs)} must be smaller than the height {exps[-1]}"
         )
     return Tower(branch=branch, tangent=coeffs, exponents=exps)
-
-
-def _is_canonical(tower: Tower) -> bool:
-    """Whether make_tower keeps the tower's fields as they are (number types aside)."""
-    exps, tangent = tower.exponents, tower.tangent
-    return (tower.branch in BRANCHES and exps[0] > 0 and all(map(lt, exps, exps[1:]))
-            and len(tangent) < exps[-1] and tangent[-1:] != (0,))
 
 
 def tower_length(tower: Tower) -> int:
@@ -181,8 +175,8 @@ class Factor(NamedTuple):
     """A single curvilinear factor (f) + m^exponent.
 
     branch None marks a bare maximal-ideal factor (exponent 1, any f); such
-    factors are placed into whichever tower lacks exponent 1, which does not
-    change the ideal: (f) + m = m for every f.
+    factors, like every exponent-1 factor, may be placed into any tower,
+    which does not change the ideal: (f) + m = m for every f.
     """
 
     branch: str | None
@@ -227,62 +221,39 @@ class TowerProduct:
         """Group raw factors, and whole towers, into towers.
 
         Each item is a Factor or a Tower; a Tower stands for the factors of
-        its exponents.  Same-(branch,
-        tangent) factors merge by exponent union; a repeated exponent within
-        a group is a repeated ideal factor, i.e. a power, which the engine
-        does not model.  Exponent-1 factors all cut out m; they fill the
-        groups lacking exponent 1 in sorted order, then new monomial towers
-        on x and on y.  A Tower that make_tower would keep as it is, alone
-        in a group that ends with exactly its exponents, is passed on; make_tower
-        rebuilds every other group, so a Tower not built by make_tower is
-        canonicalized or refused as make_tower would.
+        its exponents.  The factors on one (branch, tangent) form one tower
+        whose exponents are their multiset: a repeated exponent is a
+        repeated factor, as in a power.  Exponent-1 factors all cut out m;
+        the j-th goes to slot j mod the slot count, the slots being the
+        groups in (branch, tangent) order, then new monomial towers on x and
+        on y.  make_tower builds every group, so a Tower not built by
+        make_tower is canonicalized or refused as make_tower would.
         """
         floating = 0
-        groups: dict[tuple, list] = {}  # key -> [exponents, the lone Tower or None]
+        groups: dict[tuple, list] = {}  # (branch, tangent) -> exponents
         for item in factors:
-            exponents = item.exponents if isinstance(item, Tower) else (item.exponent,)
-            if exponents[0] == 1:
-                floating += 1
-                exponents = exponents[1:]
-                if not exponents:
-                    continue
-            lone = None  # a Tower that may pass through
             if isinstance(item, Tower):
-                key = (item.branch, item.tangent)
-                lone = item if _is_canonical(item) else None
+                key, exponents = (item.branch, item.tangent), item.exponents
             elif item.branch is None:
-                raise DomainError("a bare maximal-ideal factor must have exponent 1")
+                if item.exponent != 1:
+                    raise DomainError("a bare maximal-ideal factor must have exponent 1")
+                floating += 1
+                continue
             else:
-                key = (item.branch, _as_coefficients(item.tangent))
-            group = groups.setdefault(key, [set(), lone])
-            if not group[0].isdisjoint(exponents):
-                raise UnsupportedError(
-                    "repeated tower factor: powers scale nu linearly "
-                    "(nu of I^d is d times nu of I), so compute the base product"
-                )
-            if group[0]:  # merged with an earlier item
-                group[1] = None
-            group[0].update(exponents)
+                key, exponents = (item.branch, _as_coefficients(item.tangent)), (item.exponent,)
+            ones = exponents.count(1)
+            if ones:
+                floating += ones
+                exponents = [e for e in exponents if e != 1]
+            if exponents:
+                groups.setdefault(key, []).extend(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
-        slots = [(key, group) for key, group in groups.items() if 1 not in group[0]]
-        if floating < len(slots):  # only then does the order pick the groups
-            slots.sort(key=itemgetter(0))
-        fresh = len(slots)  # new monomial towers from here on
-        slots += [(key, [set(), None]) for key in (("x", ()), ("y", ())) if key not in groups]
-        if floating > len(slots):
-            raise UnsupportedError(
-                "no tower can absorb another maximal-ideal factor: "
-                "powers of m scale nu linearly, so factor them out first"
-            )
-        for _, (exps, _) in slots[:floating]:
-            exps.add(1)
-        # a lone Tower whose group ends with its own exponents passes through
-        return cls(
-            tower if tower is not None and len(exps) == len(tower.exponents)
-            else make_tower(branch, tangent, sorted(exps))
-            for (branch, tangent), (exps, tower) in (*groups.items(), *slots[fresh:floating])
-        )
+        slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
+        for j, key in enumerate(slots[:floating]):
+            groups.setdefault(key, []).extend([1] * len(range(j, floating, len(slots))))
+        return cls(make_tower(branch, tangent, sorted(exps))
+                   for (branch, tangent), exps in groups.items())
 
     @property
     def all_monomial(self) -> bool:
@@ -429,8 +400,9 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
             for i in members:
                 tail[i] = stop - width + node - first
                 exps = towers[i].exponents
-                for k in exps[bisect_left(exps, r):bisect_left(exps, end)]:
-                    factors[node + (k - r) * width] += ((i, k),)
+                # a repeated exponent joins its node in one step, not one per copy
+                for k, copies in groupby(exps[bisect_left(exps, r):bisect_left(exps, end)]):
+                    factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
 
     # weights summed down each chain, then into the parent below it
     weight = list(map(len, factors))

@@ -56,6 +56,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import lt
 from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
@@ -156,9 +157,12 @@ def tower_nu(tower: Tower) -> int:
     """Behrend number: length + sum_{j<s} i_j (s - j).
 
     This equals sum_{k,l} min(i_k, i_l); nu/tower-min-sum checks the
-    identity.
+    identity.  Both count each curve once per factor, so they hold for
+    distinct exponents only: nu of a power I^d is d * nu(I).
     """
     exps = tower.exponents
+    if not all(map(lt, exps, exps[1:])):
+        raise UnsupportedError("the tower closed form needs distinct exponents")
     s = len(exps)
     return tower_length(tower) + sum(exps[j] * (s - 1 - j) for j in range(s - 1))
 
@@ -325,9 +329,9 @@ def random_normal_ideal(rng: random.Random, box: int) -> MonomialIdeal:
 
 def random_tower_product(rng: random.Random, max_size: int, tangents: bool) -> TowerProduct:
     """Up to three towers with random branches, exponent sets of up to
-    max_size exponents and, if asked, rational tangents; resamples on factor
-    collisions (same tower, overlapping exponents) or aligned cross
-    directions."""
+    max_size exponents and, if asked, rational tangents; draws on one
+    branch and tangent merge, repeated exponents included, and aligned
+    cross directions are resampled."""
     while True:
         factors = []
         for _ in range(rng.randint(1, 3)):
@@ -484,12 +488,13 @@ def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
 
     Monomial products go to the polygon engine and the staircase; a single
     tower to its closed forms, which hold for its monomial model and so, by
-    the shear, for it; a complete pair to the two-tower forms (the length
-    form for cross pairs only).  What no closed form covers goes to
-    pairwise_meet_nu, under nu/contraction-degrees, and to
-    pairwise_meet_length.  The closed-form nu comparisons are reported
-    under family.  A failed divisor-degree check of build_dynkin is
-    reported as one nu/contraction-degrees failure.
+    the shear, for it (tower_nu for distinct exponents only); a complete
+    pair to the two-tower forms (the length form for cross pairs only).
+    What no closed form covers goes to pairwise_meet_nu, under
+    nu/contraction-degrees, and to pairwise_meet_length.  The closed-form
+    nu comparisons are reported under family.  A failed divisor-degree
+    check of build_dynkin is reported as one nu/contraction-degrees
+    failure.
     """
     text = product_text(product)
     try:
@@ -503,7 +508,11 @@ def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
         report = nu_monomial(product.expand())
         nu, length = report.nu, report.length
     elif len(towers) == 1:
-        nu, length = tower_nu(towers[0]), tower_length(towers[0])
+        length = tower_length(towers[0])
+        try:
+            nu = tower_nu(towers[0])
+        except UnsupportedError:  # repeated exponents
+            pass
     elif len(towers) == 2 and product.all_complete:
         try:
             nu = two_tower_nu(*towers)

@@ -287,10 +287,8 @@ class TestJsonKinds:
         ]
 
 
-REPEATED = (
-    "unsupported: repeated tower factor: powers scale nu linearly "
-    "(nu of I^d is d times nu of I), so compute the base product"
-)
+def over_the_cap(count):
+    return f"unsupported: the product has {count} tower factors, above the diagram cap of 150000"
 
 
 class TestExitCodes:
@@ -332,10 +330,20 @@ class TestExitCodes:
             ("nu", "tower(x; g=y; exps=[2])^0", 2,
              "domain error: a tower product needs at least one factor"),
             ("nu", "m^0", 2, "domain error: the unit ideal does not define a fat point"),
-            # refused at the second copy, however large the exponent
-            ("dynkin", "tower(x; g=y; exps=[2])^99999999999999999999", 3, REPEATED),
-            ("dynkin", "tower(x; g=y; exps=[2])^9999999999", 3, REPEATED),
-            ("dynkin", "tower(x; g=y; exps=[2])^99999999", 3, REPEATED),
+            # a power is its base's factors repeated, and each m one more factor
+            ("nu", "tower(x; g=y; exps=[1, 2])^2", 0, "nu = 10"),
+            ("length", "tower(x; g=y; exps=[1, 2])^2", 0, "length = 13"),
+            ("nu", "tower(x; g=y; exps=[2, 3])^2 * m^3", 0, "nu = 31"),
+            ("length", "tower(x; g=y; exps=[2, 3])^2 * m^3", 0, "length = 41"),
+            ("nu", "tower(x; g=y; exps=[2, 3]) * m^4", 0, "nu = 23"),
+            ("length", "tower(x; g=y; exps=[2, 3]) * m^4", 0, "length = 25"),
+            ("nu", "tower(x; g=y; exps=[2, 3])^75000", 0, "nu = 675000"),
+            # refused before any copy is built, however large the exponent
+            ("dynkin", "tower(x; g=y; exps=[2])^99999999999999999999", 3,
+             over_the_cap(99999999999999999999)),
+            ("dynkin", "tower(x; g=y; exps=[2])^9999999999", 3, over_the_cap(9999999999)),
+            ("dynkin", "tower(x; g=y; exps=[2])^99999999", 3, over_the_cap(99999999)),
+            ("nu", "tower(x; g=y; exps=[2, 3])^75000 * m", 3, over_the_cap(150001)),
         ],
     )
     def test_powers_of_towers(self, capsys, command, expr, code, expected):

@@ -1,9 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from behrend import (
+    MAXIMAL_IDEAL,
     DomainError,
     Factor,
     MonomialIdeal,
@@ -23,6 +27,7 @@ from behrend import (
     two_tower_nu,
 )
 from behrend import towers
+from behrend.verify import pairwise_meet_length
 
 
 def library_length(product):
@@ -201,11 +206,17 @@ class TestMakeTower:
         with pytest.raises(DomainError):
             make_tower("x", (0, 0, 1), (2,))  # deg g = 3 >= height 2
 
-    def test_exponents_must_increase(self):
-        with pytest.raises(DomainError):
-            make_tower("x", (), (2, 2))
-        with pytest.raises(DomainError):
+    def test_exponents_must_not_decrease(self):
+        # a repeated exponent is a repeated factor
+        assert make_tower("x", (), (2, 2)).exponents == (2, 2)
+        with pytest.raises(DomainError, match="nondecreasing"):
             make_tower("x", (), (3, 1))
+
+    @pytest.mark.parametrize("value", [1.5, Fraction(7, 2), "2"])
+    def test_exponents_must_be_integers(self, value):
+        # refused and named, not truncated
+        with pytest.raises(DomainError, match=re.escape(f"exponent {value!r} is not an integer")):
+            make_tower("x", (), [1, value])
 
     def test_exponents_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -259,6 +270,13 @@ class TestClosedForms:
     def test_gapped_nu_is_min_sum(self):
         t = make_tower("x", (), (1, 3))
         assert tower_nu(t) == 6
+
+    def test_nu_form_needs_distinct_exponents(self):
+        # the min-sum counts a curve once per factor; nu of (x, y^4)^2 is 8, not 16
+        t = make_tower("x", (), (4, 4))
+        with pytest.raises(UnsupportedError, match="distinct exponents"):
+            tower_nu(t)
+        assert nu_monomial(t.ideal()).nu == 8
 
     def test_matches_monomial_engines(self):
         rng = random.Random(2)
@@ -340,9 +358,10 @@ class TestTowerProduct:
         assert len(product.towers) == 1
         assert product.towers[0].exponents == (1, 2, 4)
 
-    def test_overlapping_exponents_rejected(self):
-        with pytest.raises(UnsupportedError):
-            TowerProduct.from_factors([Factor("x", (), 2), Factor("x", (), 2)])
+    def test_overlapping_exponents_repeat(self):
+        product = TowerProduct.from_factors([Factor("x", (), 2), Factor("x", (), 2)])
+        assert [t.exponents for t in product.towers] == [(2, 2)]
+        assert product.expand() == make_tower("x", (), (2,)).ideal() ** 2
 
     def test_two_floating_m_factors(self):
         product = TowerProduct.from_factors(
@@ -350,13 +369,15 @@ class TestTowerProduct:
         )
         assert sorted(t.branch for t in product.towers) == ["x", "y"]
 
-    def test_three_m_factors_rejected(self):
-        with pytest.raises(UnsupportedError):
-            TowerProduct.from_factors([Factor(None, (), 1)] * 3)
+    def test_three_m_factors_go_round(self):
+        product = TowerProduct.from_factors([Factor(None, (), 1)] * 3)
+        assert [(t.branch, t.exponents) for t in product.towers] == [("x", (1, 1)), ("y", (1,))]
+        assert product.expand() == MonomialIdeal([(1, 0), (0, 1)]) ** 3
 
     # towers as (branch, tangent, exponents); a literal's own exponent 1
-    # floats like a bare m, and free slots are the groups lacking exponent 1
-    # in (branch, tangent) order, then new monomial towers on x and on y
+    # floats like a bare m, and the j-th floating factor goes to slot j mod
+    # the slot count: the groups in (branch, tangent) order, then new
+    # monomial towers on x and on y
     X1, Y1 = ("x", (), (1,)), ("y", (), (1,))
     NO_GROUP = []
     WITHOUT_ONE = [("x", (), (2, 3))]
@@ -368,40 +389,27 @@ class TestTowerProduct:
         [
             (NO_GROUP, 1, [X1]),
             (NO_GROUP, 2, [X1, Y1]),
-            (NO_GROUP, 3, None),
+            (NO_GROUP, 3, [("x", (), (1, 1)), Y1]),
             (WITHOUT_ONE, 0, [("x", (), (2, 3))]),
             (WITHOUT_ONE, 1, [("x", (), (1, 2, 3))]),
             (WITHOUT_ONE, 2, [("x", (), (1, 2, 3)), Y1]),
-            (WITHOUT_ONE, 3, None),
+            (WITHOUT_ONE, 3, [("x", (), (1, 1, 2, 3)), Y1]),
             (WITH_ONE, 0, [("x", (1,), (1, 2))]),
             (WITH_ONE, 1, [("x", (1,), (1, 2)), X1]),
             (WITH_ONE, 2, [("x", (1,), (1, 2)), X1, Y1]),
-            (WITH_ONE, 3, None),
+            (WITH_ONE, 3, [("x", (1,), (1, 1, 2)), X1, Y1]),
             (TWO_GROUPS, 0, [("x", (1,), (1, 2)), ("y", (), (3,))]),
             (TWO_GROUPS, 1, [("x", (1,), (1, 2)), ("y", (), (1, 3))]),
             (TWO_GROUPS, 2, [("x", (1,), (1, 2)), ("y", (), (1, 3)), X1]),
-            (TWO_GROUPS, 3, None),
+            (TWO_GROUPS, 3, [("x", (1,), (1, 1, 2)), ("y", (), (1, 3)), X1]),
+            (TWO_GROUPS, 7,
+             [("x", (1,), (1, 1, 1, 2)), ("y", (), (1, 1, 1, 3)), ("x", (), (1, 1))]),
         ],
     )
     def test_bare_m_fill_free_slots_in_order(self, towers, count, expected):
         items = [make_tower(*t) for t in towers] + [Factor(None, (), 1)] * count
-        if expected is None:
-            with pytest.raises(UnsupportedError, match="absorb another maximal-ideal"):
-                TowerProduct.from_factors(items)
-            return
         product = TowerProduct.from_factors(items)
         assert {(t.branch, t.tangent, t.exponents) for t in product.towers} == set(expected)
-
-    def test_whole_towers_pass_through(self):
-        # each group ends with exactly its tower's exponents: the exponent 1s
-        # float and come back to the towers that had them
-        items = [
-            complete("x", 4, (1,)),
-            make_tower("x", (-1, 2), (1, 3, 5)),
-            make_tower("y", (Fraction(1, 2),), (2, 6)),
-        ]
-        product = TowerProduct.from_factors(items)
-        assert sorted(map(id, product.towers)) == sorted(map(id, items))
 
     def test_non_canonical_towers_are_rebuilt(self):
         # a Tower made without make_tower is canonicalized or refused, not passed on
@@ -418,21 +426,6 @@ class TestTowerProduct:
             TowerProduct.from_factors([towers.Tower("x", (Fraction(1), Fraction(1)), (2,))])
         with pytest.raises(DomainError, match="branch must be"):
             TowerProduct.from_factors([towers.Tower("z", (), (2,))])
-
-    def test_require_towers_builds_no_tower_after_parsing(self, monkeypatch):
-        elaborated = parse(
-            "tower(x; g = y + 2*y^3; exps = [1, 2, 3, 4, 5, 6])"
-            " * tower(x; g = y - y^2; exps = [1, 2, 3, 4])"
-            " * tower(x; g = -1/2*y; exps = [1, 2, 3])"
-        )
-        calls = []
-        original = towers.make_tower
-        monkeypatch.setattr(
-            towers, "make_tower", lambda *args: calls.append(args) or original(*args)
-        )
-        product = elaborated.require_towers()
-        assert calls == []
-        assert sorted(map(id, product.towers)) == sorted(id(atom) for atom, _ in elaborated.terms)
 
     # an m, or a literal's own exponent 1, fills the first tower lacking 1 in
     # (branch, tangent) order, then new monomial towers on x and on y
@@ -985,3 +978,50 @@ class TestDivisorDegreeChecks:
                 )
                 assert degree_on_curve <= 0
                 assert (degree_on_curve < 0) == node.surviving
+
+
+@st.composite
+def powered_towers(draw, tangents):
+    """(tower, d) pairs: up to three towers of exponent multisets in 1..5,
+    each raised to d in 1..3, with tangents of degree below the height if
+    asked."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+        degree = draw(st.integers(0, exps[-1] - 1)) if tangents else 0
+        coefficients = st.fractions(-2, 2, max_denominator=2)
+        tangent = [draw(coefficients) for _ in range(degree)]
+        tower = make_tower(draw(st.sampled_from("xy")), tangent, exps)
+        pairs.append((tower, draw(st.integers(1, 3))))
+    return pairs
+
+
+class TestRepeatedFactors:
+    """Powers and extra m factors are repeated factors: the diagram engine
+    answers them as multisets of exponents."""
+
+    @given(powered_towers(tangents=False), st.integers(0, 5))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_monomial_products_match_the_polygon_engine(self, pairs, k):
+        product = TowerProduct.from_factors(
+            [tower for tower, d in pairs for _ in range(d)] + [Factor(None, (), 1)] * k
+        )
+        ideal = MAXIMAL_IDEAL**k
+        for tower, d in pairs:
+            ideal *= tower.ideal() ** d
+        assert product.expand() == ideal
+        diagram = build_dynkin(product)
+        assert diagram.nu() == nu_monomial(ideal).nu
+        assert diagram.length() == ideal.colength()
+
+    @given(powered_towers(tangents=True), st.integers(2, 4))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_powers_scale_nu(self, pairs, d):
+        try:
+            product = TowerProduct.from_factors([tower for tower, e in pairs for _ in range(e)])
+        except UnsupportedError:  # aligned cross directions
+            assume(False)
+        assume(not product.all_monomial)
+        power = TowerProduct.from_factors(product.towers * d)
+        assert build_dynkin(power).nu() == d * build_dynkin(product).nu()
+        assert build_dynkin(power).length() == pairwise_meet_length(power)

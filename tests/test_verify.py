@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -214,6 +215,17 @@ def test_diagram_consistency_uses_independent_routes(monkeypatch):
     )
     for p in routed:
         assert _diagram_results(p, "nu/diagram-consistency")[0].status == "fail"
+
+
+def test_repeated_exponents_leave_the_tower_closed_form():
+    # draws on one branch and tangent merge, and a repeated exponent is a power
+    rng = random.Random(5151)
+    products = [random_tower_product(rng, 4, False) for _ in range(100)]
+    assert any(len(set(t.exponents)) < len(t.exponents) for p in products for t in p.towers)
+    power = TowerProduct([make_tower("y", (0, Fraction(-1, 2)), (4, 4))])
+    nu, length = _diagram_results(power, "nu/diagram-consistency")
+    assert (nu.name, nu.expected, nu.actual) == ("nu/contraction-degrees", 8, 8)
+    assert length.status == "pass"
 
 
 def test_pairwise_meet_nu_matches_the_diagram():
