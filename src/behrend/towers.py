@@ -241,12 +241,10 @@ class TowerProduct:
                 continue
             else:
                 key, exponents = (item.branch, _as_coefficients(item.tangent)), (item.exponent,)
-            ones = exponents.count(1)
-            if ones:
-                floating += ones
-                exponents = [e for e in exponents if e != 1]
-            if exponents:
-                groups.setdefault(key, []).extend(exponents)
+            rest = [e for e in exponents if e != 1]
+            floating += len(exponents) - len(rest)
+            if rest:
+                groups.setdefault(key, []).extend(rest)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
         slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
