@@ -241,10 +241,12 @@ class TowerProduct:
                 continue
             else:
                 key, exponents = (item.branch, _as_coefficients(item.tangent)), (item.exponent,)
-            rest = [e for e in exponents if e != 1]
-            floating += len(exponents) - len(rest)
-            if rest:
-                groups.setdefault(key, []).extend(rest)
+            ones = exponents.count(1)
+            if ones:
+                floating += ones
+                exponents = [e for e in exponents if e != 1]
+            if exponents:
+                groups.setdefault(key, []).extend(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
         slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
@@ -398,9 +400,13 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
             for i in members:
                 tail[i] = stop - width + node - first
                 exps = towers[i].exponents
-                # a repeated exponent joins its node in one step, not one per copy
-                for k, copies in groupby(exps[bisect_left(exps, r):bisect_left(exps, end)]):
-                    factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
+                span = exps[bisect_left(exps, r):bisect_left(exps, end)]
+                if len(set(span)) < len(span):  # a power: one concatenation per run, not per copy
+                    for k, copies in groupby(span):
+                        factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
+                    continue
+                for k in span:
+                    factors[node + (k - r) * width] += ((i, k),)
 
     # weights summed down each chain, then into the parent below it
     weight = list(map(len, factors))
