@@ -197,7 +197,11 @@ class Elaborated(NamedTuple):
         return ideal
 
     def require_towers(self) -> TowerProduct:
-        """The towers of d copies of each term's factors (an m is one), at most DIAGRAM_CAP."""
+        """The towers of d copies of each term's factors (an m is one).
+
+        A product with a power is refused above DIAGRAM_CAP factors, before
+        any copy is built; one without has no more factors than its text.
+        """
         if any(isinstance(atom, (MonomialIdeal, NabFactor)) for atom, _ in self.terms):
             raise UnsupportedError(
                 "this expression is not a product of towers (raw generator "
@@ -206,7 +210,7 @@ class Elaborated(NamedTuple):
         from .towers import DIAGRAM_CAP, Factor, TowerProduct
 
         count = sum(d * (1 if atom == "m" else len(atom.exponents)) for atom, d in self.terms)
-        if count > DIAGRAM_CAP:
+        if count > DIAGRAM_CAP and any(d > 1 for _, d in self.terms):
             raise UnsupportedError(f"the product has {count} tower factors, "
                                    f"above the diagram cap of {DIAGRAM_CAP}")
         m = Factor(None, (), 1)

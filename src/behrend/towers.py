@@ -401,12 +401,8 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
                 tail[i] = stop - width + node - first
                 exps = towers[i].exponents
                 span = exps[bisect_left(exps, r):bisect_left(exps, end)]
-                if len(set(span)) < len(span):  # a power: one concatenation per run, not per copy
-                    for k, copies in groupby(span):
-                        factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
-                    continue
-                for k in span:
-                    factors[node + (k - r) * width] += ((i, k),)
+                for k, copies in groupby(span):  # one concatenation per run of equal exponents
+                    factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
 
     # weights summed down each chain, then into the parent below it
     weight = list(map(len, factors))

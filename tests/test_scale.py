@@ -181,6 +181,27 @@ def test_tall_single_tower_length():
     assert behrend("length", TALL) == "length = 100000002\n"
 
 
+def test_factor_cap_spares_a_product_without_powers():
+    # one factor over the cap: only the diagram's node cap refuses nu, and
+    # length is tower_length's closed form, sum over k of 1 + ... + k
+    n = 150_001
+    out = python(
+        "from behrend.expr import Elaborated\n"
+        "from behrend.errors import UnsupportedError\n"
+        "from behrend.towers import make_tower\n"
+        f"product = Elaborated(((make_tower('x', (1,), range(1, {n + 1})), 1),))\n"
+        "print(product.length())\n"
+        "try:\n"
+        "    product.nu()\n"
+        "except UnsupportedError as error:\n"
+        "    print(error)\n"
+    )
+    assert out.splitlines() == [
+        str(n * (n + 1) * (n + 2) // 6),
+        f"the diagram has {n} nodes, above the diagram cap of 150000",
+    ]
+
+
 def test_four_forked_towers():
     # distinct linear terms fork the tree at level 2; F is the factor count
     heights = [3000, 2999, 2997, 2994]

@@ -427,8 +427,8 @@ class TestTowerProduct:
         with pytest.raises(DomainError, match="branch must be"):
             TowerProduct.from_factors([towers.Tower("z", (), (2,))])
 
-    # an m, or a literal's own exponent 1, fills the first tower lacking 1 in
-    # (branch, tangent) order, then new monomial towers on x and on y
+    # the round-robin rule above on parsed products: with no more exponent-1
+    # factors than slots, the j-th fills slot j
     @pytest.mark.parametrize(
         "text,expected",
         [
