@@ -5,9 +5,9 @@ error (not finite colength, unit ideal, non-normal input to a normal-only
 command, failed verification) or an --svg path that cannot be written,
 3 unsupported combination (no engine covers the request) or a request
 above a cap (a product with a non-normal base whose expansion could exceed
-expr.EXPANSION_CAP generators, a tower product of more factors than
-towers.DIAGRAM_CAP or a diagram of more nodes, a closure of more than
-NORMALIZE_CAP generators, a staircase of more than FERRERS_CAP columns in
+expr.EXPANSION_CAP generators, a tower product with a power of more
+factors than towers.DIAGRAM_CAP or a diagram of more nodes, a closure of
+more than NORMALIZE_CAP generators, a staircase of more than FERRERS_CAP columns in
 JSON or grid cells in text and SVG), 141 standard output closed by its
 reader before all output was written (128 + SIGPIPE, what a shell reports
 for a writer the signal stops; no traceback is printed).

@@ -387,6 +387,8 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     self_intersection = [-2] * count  # -1 - #children; one child inside a segment
     spans = []  # (first node, class count, end node) of each segment
     tail = [-1] * len(towers)  # each tower's node at the last level built
+    # towers with a repeated exponent (a power) attach each run of copies at once
+    powers = [len(set(t.exponents)) < len(t.exponents) for t in towers]
     for r, end, runs in segments:
         first, width = len(levels), len(runs)
         stop = first + (end - r) * width
@@ -401,8 +403,12 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
                 tail[i] = stop - width + node - first
                 exps = towers[i].exponents
                 span = exps[bisect_left(exps, r):bisect_left(exps, end)]
-                for k, copies in groupby(span):  # one concatenation per run of equal exponents
-                    factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
+                if powers[i]:
+                    for k, copies in groupby(span):
+                        factors[node + (k - r) * width] += ((i, k),) * len(list(copies))
+                    continue
+                for k in span:
+                    factors[node + (k - r) * width] += ((i, k),)
 
     # weights summed down each chain, then into the parent below it
     weight = list(map(len, factors))
