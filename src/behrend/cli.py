@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 syntax error (with caret diagnostics), 2 domain
 error (not finite colength, unit ideal, non-normal input to a normal-only
 command, failed verification) or an --svg path that cannot be written,
 3 unsupported combination (no engine covers the request) or a request
-above a cap (a product with a non-normal base whose expansion could exceed
+above a cap (an integer literal of more than expr.DIGIT_CAP digits, a
+product with a non-normal base whose expansion could exceed
 expr.EXPANSION_CAP generators, a tower product with a power of more
 factors than towers.DIAGRAM_CAP or a diagram of more nodes, a closure of
 more than NORMALIZE_CAP generators, a staircase of more than FERRERS_CAP columns in
@@ -319,7 +320,13 @@ def main(argv=None) -> int:
         args.format = env_format if env_format in ("text", "json") else "text"
     if args.command == "normal":
         args.command = "normal?"
+    # Answers, labels and messages may have more digits than CPython (3.10.7
+    # on) converts by default: a length is quadratic in the exponents.  Every
+    # literal is within expr.DIGIT_CAP, so the limit is lifted for the command.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
+        if limit:
+            sys.set_int_max_str_digits(0)
         code = _run_command(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
@@ -339,6 +346,9 @@ def main(argv=None) -> int:
     except UnsupportedError as error:
         print(f"unsupported: {error}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

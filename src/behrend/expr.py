@@ -19,9 +19,9 @@ Elaborated picks the route that answers each query.
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
 outside the grammar runs first, so that such a character is reported before
-any other error.  Past its "g =", a tower literal is read with one anchored
-match per tangent term and one for its exponent list; the token loop reads
-that part only when they find it malformed, to place the caret.
+any other error, then one for a digit run longer than DIGIT_CAP.  A tower
+literal's tangent is read with one match per term, whose groups also locate
+what a malformed term lacks, and its exponent list with one match.
 """
 
 from __future__ import annotations
@@ -48,15 +48,15 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_]+)|(?P<symbol>[-+^*(),;=\[\]/])|(?P<end>))"
 )
 _BAD = re.compile(r"[^0-9A-Za-z_\s\-+^*(),;=\[\]/]")  # digits and letters outside ASCII too
-# The rest of a well-formed tower literal after "g =": each term of its
-# tangent (sign, numerator, denominator, variable, exponent), then its
-# exponent list.  Each term is its own match with one parse, so a malformed
-# literal costs linear time.  Compiled on first use, through re's cache.
+# One term of a tower's tangent, every part optional: sign, numerator, "/",
+# denominator, "*", name, "^" and exponent.  Each term is its own match with
+# one parse, so a malformed literal costs linear time.  Compiled on first use,
+# through re's cache, as is the exponent list.
 _TERM = (
-    r"\s*(?:([-+])\s*)?(?=[0-9xy])(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*(?:\*\s*)?)?"
-    r"(?:([xy])(?:\s*\^\s*([0-9]+))?)?"
+    r"\s*([-+]?)\s*(?:([0-9]+)\s*(?:(/)\s*([0-9]+)?\s*)?\*?\s*)?"
+    r"(?:([A-Za-z_]+)\s*(?:(\^)\s*([0-9]+)?)?)?"
 )
-_TAIL = r"\s*;\s*exps\s*=\s*\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)\s*\]\s*\)"
+_INT_LIST = r"[0-9]+(?:\s*,\s*[0-9]+)*(\s*,)?"
 
 
 class Token(NamedTuple):
@@ -64,6 +64,11 @@ class Token(NamedTuple):
     value: str
     pos: int
 
+
+# The most digits of an integer literal: int() takes time quadratic in them,
+# and CPython (3.10.7 on) refuses more than 4,300 by default.
+DIGIT_CAP = 4300
+_LONG = re.compile(f"(?<![0-9])[0-9]{{{DIGIT_CAP + 1}}}")  # tries each run once
 
 # Most generators require_ideal multiplies out.  The cost grows as the square
 # of the count: at 1,000 the slowest product tried, (x^3, x y, y^3)^499, takes
@@ -247,7 +252,14 @@ class _Parser:
         bad = _BAD.search(text)
         if bad:
             raise ParseError(f"unexpected character {bad.group()!r}", text, bad.start())
+        if _LONG.search(text):
+            raise UnsupportedError(f"an integer literal is above the digit cap of {DIGIT_CAP}")
         self.text, self.pos, self.token = text, 0, None
+        self.advance()
+
+    def resume(self, pos: int) -> None:
+        """Scan the lookahead token at pos, past text read by a match."""
+        self.pos = pos
         self.advance()
 
     def advance(self) -> Token:
@@ -260,9 +272,11 @@ class _Parser:
         self.pos = match.end()
         return token
 
-    def fail(self, message: str, token: Token | None = None):
-        token = token or self.token
-        raise ParseError(message, self.text, token.pos)
+    def fail(self, message: str, pos: int | None = None):
+        """Raise at the lookahead token, or at the first token at or after pos."""
+        if pos is not None:
+            self.resume(pos)
+        raise ParseError(message, self.text, self.token.pos)
 
     def expect(self, kind: str, what: str) -> Token:
         if self.token.kind != kind:
@@ -271,6 +285,15 @@ class _Parser:
 
     def expect_int(self, what: str) -> int:
         return int(self.expect("int", what).value)
+
+    def int_list(self, what: str) -> list[int]:
+        """INT ("," INT)* in one match, whose digit runs are found again:
+        int() refuses the \\x1c-\\x1f that \\s matches."""
+        match = re.compile(_INT_LIST).match(self.text, self.token.pos)
+        if not match or match[1]:  # no INT, or a "," followed by none
+            self.fail(f"expected {what}", match and match.end())
+        self.resume(match.end())
+        return [int(digits) for digits in re.findall("[0-9]+", match[0])]
 
     # -- grammar -------------------------------------------------------------
 
@@ -366,47 +389,45 @@ class _Parser:
         self.expect("(", "'(' after tower")
         branch_token = self.expect("name", "a branch ('x' or 'y')")
         if branch_token.value not in ("x", "y"):
-            self.fail("tower branch must be 'x' or 'y'", branch_token)
+            self.fail("tower branch must be 'x' or 'y'", branch_token.pos)
         branch = branch_token.value
         self.expect(";", "';'")
         key = self.expect("name", "'g'")
         if key.value != "g":
-            self.fail("expected 'g'", key)
+            self.fail("expected 'g'", key.pos)
         self.expect("=", "'='")
-        variable = "y" if branch == "x" else "x"
-        read = _read_tangent_and_exponents(self.text, self.token.pos, variable)
-        if read:  # the rest of the literal without the token loop
-            terms, exps, self.pos = read
-            self.advance()
-            return make_tower(branch, self.coefficients(terms), map(int, exps))
-        # a malformed rest: the token loop places the caret
-        tangent = self.tangent_poly(variable)
+        tangent = self.tangent_poly("y" if branch == "x" else "x")
         self.expect(";", "';'")
         key = self.expect("name", "'exps'")
         if key.value != "exps":
-            self.fail("expected 'exps'", key)
+            self.fail("expected 'exps'", key.pos)
         self.expect("=", "'='")
         self.expect("[", "'['")
-        exps = [self.expect_int("an exponent")]
-        while self.token.kind == ",":
-            self.advance()
-            exps.append(self.expect_int("an exponent"))
+        exps = self.int_list("an exponent")
         self.expect("]", "']'")
         self.expect(")", "')' closing the tower")
         return make_tower(branch, tangent, exps)
 
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients
-        and zero constant term."""
-        terms = []
-        while True:
-            sign = -1 if self.token.kind == "-" else 1
-            if self.token.kind in ("+", "-"):
-                self.advance()
-            numerator, denominator, degree = self.tangent_term(variable)
-            terms.append((degree, Fraction(sign * numerator, denominator)))
-            if self.token.kind not in ("+", "-"):
-                break
+        and zero constant term, one match per term."""
+        term_at, terms, pos = re.compile(_TERM).match, [], self.token.pos
+        while (term := term_at(self.text, pos))[1] or not terms:  # a sign between terms
+            sign, numerator, slash, denominator, name, caret, degree = term.groups()
+            if slash and denominator is None:
+                self.fail("expected a denominator", term.end(3))
+            if denominator and not int(denominator):
+                self.fail("zero denominator", term.end(4))
+            if name not in (None, variable):
+                self.fail(f"the tangent must be a polynomial in {variable!r}", term.start(5))
+            if caret and degree is None:
+                self.fail("expected an integer exponent", term.end(6))
+            if numerator is None and name is None:
+                self.fail("expected a tangent term", term.end(1))
+            coefficient = Fraction(int(sign + (numerator or "1")), int(denominator or 1))
+            terms.append((int(degree or 1) if name else 0, coefficient))
+            pos = term.end()
+        self.resume(pos)
         return self.coefficients(terms)
 
     def coefficients(self, terms) -> list[Fraction]:
@@ -427,52 +448,6 @@ class _Parser:
             )
         zero = Fraction(0)
         return [coefficients.get(d, zero) for d in range(1, top + 1)]
-
-    def tangent_term(self, variable: str) -> tuple[int, int, int]:
-        """Numerator, denominator and degree of one term."""
-        numerator = denominator = 1
-        explicit_coefficient = self.token.kind == "int"
-        if explicit_coefficient:
-            numerator = self.expect_int("a coefficient")
-            if self.token.kind == "/":
-                self.advance()
-                denominator = self.expect_int("a denominator")
-                if denominator == 0:
-                    self.fail("zero denominator")
-            if self.token.kind == "*":
-                self.advance()
-        token = self.token
-        if token.kind == "name":
-            if token.value != variable:
-                self.fail(f"the tangent must be a polynomial in {variable!r}", token)
-            self.advance()
-            degree = 1
-            if self.token.kind == "^":
-                self.advance()
-                degree = self.expect_int("an integer exponent")
-            return numerator, denominator, degree
-        if not explicit_coefficient:
-            self.fail("expected a tangent term")
-        return numerator, denominator, 0
-
-
-def _read_tangent_and_exponents(text: str, pos: int, variable: str):
-    """(degree, coefficient) terms of the tangent at pos, the exponents and
-    the end of the tower literal, or None when the token loop must read
-    them: the text is malformed, a term is not in variable, a denominator
-    is 0 or the constant term is not."""
-    term_at, terms = re.compile(_TERM).match, []
-    while (term := term_at(text, pos)) and (term[1] or not terms):  # a sign between terms
-        sign, numerator, denominator, name, degree = term.groups()
-        if name not in (None, variable) or denominator and not int(denominator):
-            return None
-        coefficient = Fraction(int((sign or "") + (numerator or "1")), int(denominator or 1))
-        terms.append((int(degree or 1) if name else 0, coefficient))
-        pos = term.end()
-    tail = re.compile(_TAIL).match(text, pos)
-    if not terms or not tail or sum(c for degree, c in terms if not degree):
-        return None
-    return terms, re.findall("[0-9]+", tail[1]), tail.end()  # int() refuses \x1c-\x1f of \s
 
 
 def parse(text: str) -> Elaborated:

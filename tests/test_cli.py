@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -354,6 +355,40 @@ class TestExitCodes:
             assert out.splitlines()[0] == expected and err == ""
         else:
             assert err.splitlines() == [expected] and out == ""
+
+    @pytest.mark.parametrize("expr", ["m^{}", "(x^{}, y)", "tower(x; g={}*y; exps=[2])",
+                                      "tower(x; g=1/{} y; exps=[2])", "n(2,{})"])
+    def test_integer_literal_above_the_digit_cap(self, capsys, expr):
+        # int() would take time quadratic in the digits, and CPython refuses them
+        code, out, err = run(capsys, "length", expr.format("9" * 5000))
+        assert (code, out) == (3, "")
+        assert err == "unsupported: an integer literal is above the digit cap of 4300\n"
+
+    @pytest.mark.parametrize("fmt,line", [
+        ("text", "length = {}"),
+        ("json", '{{"schema_version": 1, "kind": "length", "length": {}}}'),
+    ])
+    def test_answer_longer_than_any_literal(self, capsys, fmt, line):
+        # the length of m^d is d(d+1)/2, 6000 digits for d = 10^3000 - 1;
+        # CPython's int-to-str limit is lifted while the command runs
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "length", "m^" + "9" * 3000, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == line.format("4" + "9" * 2999 + "5" + "0" * 2999) + "\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
+    @pytest.mark.parametrize("command,expr,code,start", [
+        ("ferrers", "(x^{0}, y^{0})", 3, "unsupported: the staircase grid has 9"),
+        ("length", "(x^{})^10", 2, "domain error: MonomialIdeal([(9"),
+        ("dynkin", "tower(x; g=y; exps=[2, 3])^{}", 3, "unsupported: the product has 1"),
+        ("fan", "n({0},1) * n(1,{0})", 0, ""),
+        ("factor", "n({0},{0})^{0}", 0, ""),
+    ])
+    def test_long_numbers_formed_while_computing(self, capsys, command, expr, code, start):
+        # messages and labels of more digits than any literal, formed before printing
+        actual, out, err = run(capsys, command, expr.format("9" * 4300))
+        assert actual == code and err.startswith(start) and len(err.splitlines()) <= 1
+        assert (out == "") == bool(code)
 
 
 SVG_CASES = [

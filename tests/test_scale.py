@@ -172,6 +172,12 @@ def test_caps_refuse_with_exit_3(argv, message):
     assert message in done.stderr
 
 
+def test_answer_of_six_thousand_digits():
+    # length of m^d is d(d+1)/2; CPython converts at most 4,300 digits by default
+    out = behrend("length", "m^" + "9" * 3000)
+    assert out == f"length = {'4' + '9' * 2999 + '5' + '0' * 2999}\n"
+
+
 def test_sparse_tower_chain():
     assert behrend("nu", SPARSE).startswith("nu = 10003\n")
 
