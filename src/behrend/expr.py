@@ -27,6 +27,7 @@ what a malformed term lacks, and its exponent list with one match.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
@@ -451,8 +452,20 @@ class _Parser:
 
 
 def parse(text: str) -> Elaborated:
-    """Parse an ideal/tower expression; errors carry caret positions."""
-    return _Parser(text).parse()
+    """Parse an ideal/tower expression; errors carry caret positions.
+
+    Every digit run is within DIGIT_CAP, so each is converted whatever
+    int-to-str limit (CPython 3.10.7 on) the process has set: the limit is
+    lifted while the text is read and restored after.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        if limit:
+            sys.set_int_max_str_digits(0)
+        return _Parser(text).parse()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # -- printers -----------------------------------------------------------------
@@ -502,7 +515,7 @@ def tangent_text(tangent, variable: str) -> str:
 
 def tower_text(tower: Tower) -> str:
     variable = "y" if tower.branch == "x" else "x"
-    exps = ", ".join(str(e) for e in tower.exponents)
+    exps = ", ".join(map(str, tower.exponents))
     return f"tower({tower.branch}; g = {tangent_text(tower.tangent, variable)}; exps = [{exps}])"
 
 

@@ -7,6 +7,7 @@ structural.  All exponents are plain Python integers, so nothing overflows.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import repeat
 from operator import index
 from typing import NamedTuple
@@ -23,22 +24,40 @@ def _exponent(value) -> int:
         raise DomainError(f"exponent {value!r} is not an integer") from None
 
 
+def _exponents(values) -> tuple[int, ...]:
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple(map(_exponent, values))  # raises, naming the value
+
+
+def _pair(point) -> Exponent:
+    a, b = point
+    try:
+        return index(a), index(b)
+    except TypeError:
+        return _exponent(a), _exponent(b)  # raises, naming the value
+
+
 def minimal_generators(exponents) -> tuple[Exponent, ...]:
     """Divisibility-minimal subset of a nonempty set of exponent pairs.
 
     Idempotent, and membership in the generated ideal is unchanged.  An
     exponent must be an integer (operator.index); 1.5 is refused, not rounded.
     """
-    points = sorted({(_exponent(a), _exponent(b)) for a, b in exponents})
+    points = sorted(set(map(_pair, exponents)))
     if not points:
         raise DomainError("a monomial ideal needs at least one generator")
-    if points[0][0] < 0 or any(b < 0 for _, b in points):
-        raise DomainError("exponents must be nonnegative")
-    # in (a, b) order a point is minimal iff it lies below the last kept one
-    kept = [points[0]]
-    for point in points[1:]:
-        if point[1] < kept[-1][1]:
+    # in (a, b) order a point is minimal iff it lies below the last kept one,
+    # so the last kept b is the least b of all
+    kept, low = [points[0]], points[0][1]
+    for point in points:
+        if point[1] < low:
             kept.append(point)
+            low = point[1]
+    if points[0][0] < 0 or low < 0:
+        raise DomainError("exponents must be nonnegative")
     return tuple(kept)
 
 
@@ -57,7 +76,8 @@ class MonomialIdeal:
 
     @classmethod
     def _canonical(cls, generators, polygon) -> "MonomialIdeal":
-        """Trusted: gens minimal and sorted, polygon theirs (newton.closure_power)."""
+        """Trusted: gens minimal and sorted, polygon theirs or None (the
+        product, newton.polygon_closure, Tower.ideal)."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "generators", tuple(generators))
         object.__setattr__(ideal, "_polygon", polygon)
@@ -156,11 +176,13 @@ class MonomialIdeal:
             base = base * base
 
     def __contains__(self, exponent) -> bool:
-        """Membership of the monomial x^a y^b in the ideal."""
+        """Membership of the monomial x^a y^b in the ideal, by one bisect: if
+        any generator divides it, so does the last generator at or below
+        (a, b) in (a, b) order, since b falls as a rises."""
         a, b = exponent
-        if a < 0 or b < 0:
-            return False
-        return any(ga <= a and gb <= b for ga, gb in self.generators)
+        gens = self.generators
+        i = bisect_right(gens, (a, b))
+        return i > 0 and gens[i - 1][1] <= b
 
     # -- the staircase -------------------------------------------------------
 

@@ -50,10 +50,6 @@ class Edge(NamedTuple):
         """Common value of <inward_ray, -> on the edge."""
         return self.inward_ray[0] * self.start[0] + self.inward_ray[1] * self.start[1]
 
-    def position_of(self, point: Exponent) -> int:
-        """Position of an on-edge lattice point, in primitive steps from start."""
-        return (self.start[0] - point[0]) // (-self.primitive_step[0])
-
 
 class NewtonPolygon(NamedTuple):
     """Vertices v0..vt ordered by strictly decreasing a (v0 on the x-axis),
@@ -89,16 +85,8 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
         db = end[1] - start[1]
         length = gcd(da, db)
         alpha, beta = da // length, db // length
-        edges.append(
-            Edge(
-                start=start,
-                end=end,
-                primitive_step=(-alpha, beta),
-                lattice_length=length,
-                inward_ray=(beta, alpha),
-            )
-        )
-    polygon = NewtonPolygon(vertices=vertices, edges=tuple(edges))
+        edges.append(Edge(start, end, (-alpha, beta), length, (beta, alpha)))
+    polygon = NewtonPolygon(vertices, tuple(edges))
     object.__setattr__(ideal, "_polygon", polygon)
     return polygon
 

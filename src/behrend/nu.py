@@ -24,7 +24,9 @@ nu/normal-product holds the two routes to each other.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .ideals import MonomialIdeal
@@ -47,10 +49,9 @@ class BehrendReport(NamedTuple):
 
 
 def _report(polygon: NewtonPolygon, degrees, length: int, normal: bool) -> BehrendReport:
-    components = tuple(
-        ComponentRecord(edge, edge.support_value, d) for edge, d in zip(polygon.edges, degrees)
-    )
-    return BehrendReport(sum(c.d * c.e for c in components), length, components, normal)
+    supports = [edge.support_value for edge in polygon.edges]
+    components = tuple(map(ComponentRecord, polygon.edges, supports, degrees))
+    return BehrendReport(sum(map(mul, degrees, supports)), length, components, normal)
 
 
 def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
@@ -61,17 +62,23 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
     components, which is only an upper bound on their number; the total nu
     does not depend on that identification.  d is read off the generators
     and the length off the staircase, so verify can hold nu_normal to this.
+    Each edge reads only the generators strictly between its vertices,
+    found by bisection: O(#generators + #edges log #generators).
     """
     ideal.require_fat_point()
     polygon = newton_polygon(ideal)
+    gens = ideal.generators
     degrees = []
     for edge in polygon.edges:
         beta, alpha = edge.inward_ray
         e = edge.support_value
-        d = 0
-        for g in ideal.generators:
-            if beta * g[0] + alpha * g[1] == e:
-                d = gcd(d, edge.position_of(g))
+        a_start = edge.start[0]
+        # the vertices are generators, at positions 0 and the lattice length;
+        # only the generators between them can lie inside the edge
+        d = edge.lattice_length
+        for a, b in gens[bisect_left(gens, edge.end) + 1:bisect_left(gens, edge.start)]:
+            if beta * a + alpha * b == e:
+                d = gcd(d, (a_start - a) // alpha)  # position in primitive steps
         degrees.append(d)
     return _report(polygon, degrees, ideal.colength(), is_normal(ideal))
 

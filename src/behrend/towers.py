@@ -26,7 +26,8 @@ levels each class adds one chain node.
 Cost.  O(T log T) tangent comparisons for the sort (each O(agreement depth)),
 O(T) at each of at most 2T - 1 event levels, and list slicing and
 repetition over the parallel chains between them; Python-level loops run
-once per factor, to place it, and once per edge, in the contraction check.
+once per factor, to place it, and once per node in each of three passes:
+the weights, the multiplicities and the contraction check.
 
 The contribution of a factor whose own node is c_I to a node c is the level
 of the deepest common ancestor of c and c_I (a node counts as its own
@@ -48,7 +49,7 @@ from operator import itemgetter, le, lt, mul, sub
 from typing import NamedTuple
 
 from .errors import DomainError, UnsupportedError
-from .ideals import MonomialIdeal, _exponent
+from .ideals import MonomialIdeal, _exponents
 
 BRANCHES = ("x", "y")
 
@@ -58,6 +59,8 @@ BRANCHES = ("x", "y")
 # H]) takes, end to end on a 2-core host (median of 5 processes), 0.77 s at
 # H = 10^5 and 1.18 s at the cap; a quieter run read 0.49 s at 10^5.
 DIAGRAM_CAP = 150_000
+
+_ZERO = Fraction(0)
 
 
 def _as_coefficients(tangent) -> tuple[Fraction, ...]:
@@ -91,7 +94,7 @@ class Tower(NamedTuple):
         return not self.tangent
 
     def linear_coefficient(self) -> Fraction:
-        return self.tangent[0] if self.tangent else Fraction(0)
+        return self.tangent[0] if self.tangent else _ZERO
 
     def ideal(self) -> MonomialIdeal:
         """Minimal generators of a monomial tower: x^{s-k} y^{i_1+...+i_k}.
@@ -106,19 +109,20 @@ class Tower(NamedTuple):
                 "non-monomial towers have no monomial generators; "
                 "invariants are computed on the monomial model"
             )
+        # every exponent is positive, so the powers of x fall and those of y
+        # rise strictly with k: each generator is minimal
         s = len(self.exponents)
         partial = [0, *accumulate(self.exponents)]
-        gens = [(s - k, partial[k]) for k in range(s + 1)]
-        if self.branch == "y":
-            gens = [(b, a) for a, b in gens]
-        return MonomialIdeal(gens)
+        if self.branch == "x":
+            return MonomialIdeal._canonical([(s - k, partial[k]) for k in range(s, -1, -1)], None)
+        return MonomialIdeal._canonical([(partial[k], s - k) for k in range(s + 1)], None)
 
 
 def make_tower(branch: str, tangent, exponents) -> Tower:
     """Validate and build a tower; each broken precondition is its own error."""
     if branch not in BRANCHES:
         raise DomainError(f"branch must be 'x' or 'y', not {branch!r}")
-    exps = tuple(map(_exponent, exponents))
+    exps = _exponents(exponents)
     if not exps:
         raise DomainError("a tower needs at least one exponent")
     if exps[0] < 1:
@@ -130,7 +134,7 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
         raise DomainError(
             f"tangent degree {len(coeffs)} must be smaller than the height {exps[-1]}"
         )
-    return Tower(branch=branch, tangent=coeffs, exponents=exps)
+    return Tower(branch, coeffs, exps)
 
 
 def tower_length(tower: Tower) -> int:
@@ -154,7 +158,7 @@ def difference_order(t1: Tower, t2: Tower):
 
 def _coefficient(tower: Tower, degree: int) -> Fraction:
     """Coefficient of g in the given degree, 0 past the stored ones."""
-    return tower.tangent[degree - 1] if degree <= len(tower.tangent) else Fraction(0)
+    return tower.tangent[degree - 1] if degree <= len(tower.tangent) else _ZERO
 
 
 def _compare_tangents(t1: Tower, t2: Tower) -> int:
@@ -185,12 +189,13 @@ class Factor(NamedTuple):
 
 
 class TowerProduct:
-    """A finite product of pairwise tangent-distinct towers, canonically sorted."""
+    """A finite product of pairwise tangent-distinct towers, canonically
+    sorted, so two products are equal exactly when their towers are."""
 
     __slots__ = ("towers",)
 
     def __init__(self, towers):
-        towers = tuple(sorted(towers, key=lambda t: (t.branch, t.tangent, t.exponents)))
+        towers = tuple(sorted(towers))  # by branch, tangent, exponents
         if not towers:
             raise DomainError("a tower product needs at least one tower")
         if any(s[:2] == t[:2] for s, t in zip(towers, towers[1:])):  # same branch and tangent
@@ -200,18 +205,27 @@ class TowerProduct:
             )
         # cross-branch towers with aligned directions (c_x * c_y = 1) share a
         # branch after a linear change of variables; the classes would split them
-        x_coefficients = {t.linear_coefficient() for t in towers if t.branch == "x"}
-        for t in towers:
-            c = t.linear_coefficient()
-            if t.branch == "y" and c and 1 / c in x_coefficients:
-                raise UnsupportedError(
-                    "cross-branch towers with aligned tangent directions: "
-                    "rewrite them on a common branch first"
-                )
+        x_directions = [t.tangent[0] for t in towers if t.branch == "x" and t.tangent]
+        if x_directions and any(
+            t.branch == "y" and t.tangent and t.tangent[0] and 1 / t.tangent[0] in x_directions
+            for t in towers
+        ):
+            raise UnsupportedError(
+                "cross-branch towers with aligned tangent directions: "
+                "rewrite them on a common branch first"
+            )
         object.__setattr__(self, "towers", towers)
 
     def __setattr__(self, name, value):
         raise AttributeError("TowerProduct is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, TowerProduct):
+            return NotImplemented
+        return self.towers == other.towers
+
+    def __hash__(self):
+        return hash(self.towers)
 
     def __repr__(self):
         return f"TowerProduct({list(self.towers)!r})"
@@ -249,9 +263,10 @@ class TowerProduct:
                 groups.setdefault(key, []).extend(exponents)
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
-        slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
-        for j, key in enumerate(slots[:floating]):
-            groups.setdefault(key, []).extend([1] * len(range(j, floating, len(slots))))
+        if floating:
+            slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
+            for j, key in enumerate(slots[:floating]):
+                groups.setdefault(key, []).extend([1] * len(range(j, floating, len(slots))))
         return cls(make_tower(branch, tangent, sorted(exps))
                    for (branch, tangent), exps in groups.items())
 
@@ -293,15 +308,15 @@ def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:
     towers skipped between them, are at least r."""
     runs: list[list[int]] = []
     gap = 0  # least depth since the last tower of height >= r
-    for k, i in enumerate(order):
+    for i, depth in zip(order, [*depths, 0]):
         if heights[i] >= r:
-            if runs and gap >= r:
+            if gap >= r:
                 runs[-1].append(i)
             else:
                 runs.append([i])
-            gap = float("inf")
-        if k < len(depths):
-            gap = min(gap, depths[k])
+            gap = depth
+        elif depth < gap:
+            gap = depth
     return [tuple(sorted(run)) for run in runs]
 
 
@@ -318,7 +333,7 @@ class DynkinNode(NamedTuple):
     surviving: bool
 
 
-_SELF_INTERSECTION, _MULTIPLICITY, _SURVIVING = itemgetter(4), itemgetter(5), itemgetter(6)
+_MULTIPLICITY, _SURVIVING = itemgetter(5), itemgetter(6)
 
 
 class DynkinDiagram(NamedTuple):
@@ -360,14 +375,17 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
 
     Nodes are built a segment at a time: between two event levels the same
     w classes each add a chain node per level, so past its first level each
-    node's parent is the node w before it.  A node's weight, the number of
-    factors in its subtree, is summed down each chain, and its multiplicity,
-    the weights of its ancestors and itself, up each chain: a factor
-    contributes to c the number of ancestors of c whose subtree holds the
-    factor's node.  A node survives iff a factor attaches to it (the
-    completion's extra curves are contracted on the actual blowup).  More
-    than DIAGRAM_CAP nodes, counted before any is built, raise
-    UnsupportedError; the divisor-degree check runs on every diagram.
+    node's parent is the node w before it.  Every parent precedes its
+    children, so one pass from the last node adds each node's weight, the
+    number of factors in its subtree, into its parent's, and one pass from
+    the root adds the parent's multiplicity, the weights of its ancestors,
+    to each node's own weight: a factor contributes to c the number of
+    ancestors of c whose subtree holds the factor's node.  A node survives
+    iff a factor attaches to it (the completion's extra curves are
+    contracted on the actual blowup).  More than DIAGRAM_CAP nodes, counted
+    before any is built, raise UnsupportedError; the divisor-degree check
+    runs on every diagram, on these columns, before the node records are
+    built.
     """
     towers = product.towers
     heights = [t.height for t in towers]
@@ -384,8 +402,6 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
         )
     levels, members_of, parents = [], [], []
     factors: list[tuple[tuple[int, int], ...]] = [()] * count
-    self_intersection = [-2] * count  # -1 - #children; one child inside a segment
-    spans = []  # (first node, class count, end node) of each segment
     tail = [-1] * len(towers)  # each tower's node at the last level built
     # towers with a repeated exponent (a power) attach each run of copies at once
     powers = [len(set(t.exponents)) < len(t.exponents) for t in towers]
@@ -396,8 +412,6 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
         members_of += runs * (end - r)
         parents += [tail[members[0]] for members in runs]
         parents += range(first, stop - width)
-        self_intersection[stop - width:stop] = [-1] * width
-        spans.append((first, width, stop))
         for node, members in enumerate(runs, first):
             for i in members:
                 tail[i] = stop - width + node - first
@@ -410,31 +424,30 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
                 for k in span:
                     factors[node + (k - r) * width] += ((i, k),)
 
-    # weights summed down each chain, then into the parent below it
+    # weights and child counts, each node before its parent
     weight = list(map(len, factors))
-    for first, width, stop in reversed(spans):
-        for head in range(first, first + width):
-            weight[head:stop:width] = list(accumulate(weight[head:stop:width][::-1]))[::-1]
-            if first:
-                weight[parents[head]] += weight[head]
-                self_intersection[parents[head]] -= 1
-    # multiplicities: the parent's, then the weights summed up each chain
+    self_intersection = [-1] * count  # -1 - #children
+    for node in range(count - 1, 0, -1):
+        parent = parents[node]
+        weight[parent] += weight[node]
+        self_intersection[parent] -= 1
+    # multiplicities, each parent before its nodes
     multiplicity = weight[:]
-    for first, width, stop in spans:
-        for head in range(first, first + width):
-            if first:
-                multiplicity[head] += multiplicity[parents[head]]
-            multiplicity[head:stop:width] = accumulate(multiplicity[head:stop:width])
+    for node in range(1, count):
+        multiplicity[node] += multiplicity[parents[node]]
 
+    surviving = list(map(bool, factors))
+    _check_contraction_degrees(parents, levels, self_intersection, multiplicity, surviving)
     # tuple.__new__ is what DynkinNode._make calls, less its per-row length check
-    columns = (range(count), levels, members_of, factors, self_intersection, multiplicity)
-    nodes = tuple(map(tuple.__new__, repeat(DynkinNode), zip(*columns, map(bool, factors))))
+    columns = (levels, members_of, factors, self_intersection, multiplicity, surviving)
+    nodes = tuple(map(tuple.__new__, repeat(DynkinNode), zip(range(count), *columns)))
     edges = tuple(zip(parents[1:], range(1, count)))
-    _check_contraction_degrees(nodes, edges)
     return DynkinDiagram(nodes, edges, tuple(parents))
 
 
-def _check_contraction_degrees(nodes, edges) -> None:
+def _check_contraction_degrees(
+    parents, levels, self_intersection, multiplicity, surviving
+) -> None:
     """Intersection-theoretic self-check of multiplicities and survival.
 
     On the completed (smooth) surface every curve E has E^2 = -1 - #children,
@@ -443,21 +456,22 @@ def _check_contraction_degrees(nodes, edges) -> None:
     to degree m * E^2 + sum of adjacent multiplicities on E; this is <= 0
     everywhere, negative exactly on the curves the actual blowup keeps, and
     zero exactly on the contracted ones.  Any violation means the computed
-    multiplicities or the survival flags are wrong, so fail loudly.
+    multiplicities or the survival flags are wrong, so fail loudly.  It
+    reads build_dynkin's columns, node by node, before the nodes are built.
     """
-    multiplicity = list(map(_MULTIPLICITY, nodes))
-    degrees = list(map(mul, multiplicity, map(_SELF_INTERSECTION, nodes)))
-    for a, b in edges:
-        degrees[a] += multiplicity[b]
-        degrees[b] += multiplicity[a]
-    if max(degrees) <= 0 and list(map(lt, degrees, repeat(0))) == list(map(_SURVIVING, nodes)):
+    degrees = list(map(mul, multiplicity, self_intersection))
+    for child in range(1, len(parents)):
+        parent = parents[child]
+        degrees[parent] += multiplicity[child]
+        degrees[child] += multiplicity[parent]
+    if max(degrees) <= 0 and list(map(lt, degrees, repeat(0))) == surviving:
         return
-    node, degree = next((node, degree) for node, degree in zip(nodes, degrees)
-                        if degree > 0 or (degree < 0) != node.surviving)
+    node = next(node for node, degree in enumerate(degrees)
+                if degree > 0 or (degree < 0) != surviving[node])
     raise AssertionError(
-        f"divisor degree {degree} on the level-{node.level} curve "
-        f"contradicts multiplicity {node.multiplicity} / "
-        f"survival {node.surviving}"
+        f"divisor degree {degrees[node]} on the level-{levels[node]} curve "
+        f"contradicts multiplicity {multiplicity[node]} / "
+        f"survival {surviving[node]}"
     )
 
 
@@ -472,4 +486,4 @@ class TowerNuSummary(NamedTuple):
 def noncomplete_product_nu(product: TowerProduct) -> TowerNuSummary:
     """Behrend number and length of an arbitrary finite product of towers."""
     diagram = build_dynkin(product)
-    return TowerNuSummary(nu=diagram.nu(), length=diagram.length(), diagram=diagram)
+    return TowerNuSummary(diagram.nu(), diagram.length(), diagram)

@@ -42,18 +42,23 @@ The other families compare library routes with each other or with a
 textbook closed form, such as lcm(a, b) for nu of n(a, b).
 
 Instances are generated from a seeded generator so failures reproduce;
-results are reported sorted by (name, instance).  Every check is decisive
+results are reported sorted by (name, instance).  Each distinct instance is
+checked once per call: a check function that draws an instance again
+reports the results of its first check once more, so every draw keeps its
+line.  Nothing is kept from one call to the next.  Every check is decisive
 ("pass" or "fail"): the definitional closure oracle's bound p <= min(a0, b0)
-is proven (see integral_closure_oracle).  The oracle scans the box
-[0, a0] x [0, b0] against up to min(a0, b0) powers of I, so it is a test
-oracle only; the library's closure walks the polygon.  Complete non-monomial
-tower pairs get draws of their own, so the two-tower route runs on every seed.
+is proven (see integral_closure_oracle).  The oracle walks the staircase of
+the box [0, a0] x [0, b0], testing each step against up to min(a0, b0)
+powers of I, so it is a test oracle only; the library's closure walks the
+polygon.  Complete non-monomial tower pairs get draws of their own, so the
+two-tower route runs on every seed.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd
 from operator import lt
@@ -67,7 +72,6 @@ from .normal_factor import factor_normal, n_ab, polygon_factors
 from .nu import nu_monomial, nu_normal
 from .towers import (
     BRANCHES,
-    Factor,
     Tower,
     TowerNuSummary,
     TowerProduct,
@@ -267,12 +271,18 @@ def integral_closure_oracle(ideal: MonomialIdeal) -> MonomialIdeal:
     powers = [None, ideal]
     for _ in range(bound - 1):
         powers.append(powers[-1] * ideal)
+
+    def accepts(a: int, b: int) -> bool:
+        return any((p * a, p * b) in powers[p] for p in range(1, bound + 1))
+
+    # The accepted points form an ideal: each column's least accepted b is
+    # at most the previous column's, so one walk down the staircase finds them.
     accepted = []
+    b = ideal.y_power  # (0, b0) is a generator
     for a in range(ideal.x_power + 1):
-        for b in range(ideal.y_power + 1):
-            if any((p * a, p * b) in powers[p] for p in range(1, bound + 1)):
-                accepted.append((a, b))
-                break  # larger b in this column is divisible anyway
+        while b and accepts(a, b - 1):
+            b -= 1
+        accepted.append((a, b))
     return MonomialIdeal(accepted)
 
 
@@ -333,14 +343,14 @@ def random_tower_product(rng: random.Random, max_size: int, tangents: bool) -> T
     branch and tangent merge, repeated exponents included, and aligned
     cross directions are resampled."""
     while True:
-        factors = []
+        drawn = []
         for _ in range(rng.randint(1, 3)):
             branch = rng.choice(("x", "y"))
             exps = sorted(rng.sample(range(1, TOWER_EXPONENT_MAX + 1), rng.randint(1, max_size)))
             tangent = _random_tangent(rng, exps[-1]) if tangents else ()
-            factors.extend(Factor(branch, tangent, e) for e in exps)
+            drawn.append(make_tower(branch, tangent, exps))
         try:
-            return TowerProduct.from_factors(factors)
+            return TowerProduct.from_factors(drawn)
         except UnsupportedError:
             continue
 
@@ -405,35 +415,27 @@ def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
                         "length/equal-cross-closed-form", f"h={hx}", expected, closed
                     )
                 )
-    for _ in range(bounds.normal_ideals):
-        ideal = random_normal_ideal(rng, RANDOM_BOX)
-        results.append(
-            CheckResult.compare(
-                "length/pick",
-                ideal_text(ideal),
-                ideal.colength(),
-                closure_colength(ideal),
-            )
-        )
+    pick = cache(_pick_result)
+    results += [pick(random_normal_ideal(rng, RANDOM_BOX)) for _ in range(bounds.normal_ideals)]
     return results
+
+
+def _pick_result(ideal: MonomialIdeal) -> CheckResult:
+    return CheckResult.compare(
+        "length/pick", ideal_text(ideal), ideal.colength(), closure_colength(ideal)
+    )
 
 
 def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
     """The Newton-polygon Behrend number against every independent route."""
     results = []
+    diagram = cache(_diagram_results)
     for _ in range(bounds.tower_products):
-        results.extend(_diagram_results(random_tower_product(rng, 4, False), "nu/dual-engine"))
+        results += diagram(random_tower_product(rng, 4, False), "nu/dual-engine")
+    power_rule = cache(_power_rule_result)
     for _ in range(bounds.power_ideals):
         ideal = random_ideal(rng, RANDOM_BOX)
-        d = rng.randint(1, POWER_MAX)
-        results.append(
-            CheckResult.compare(
-                "nu/power-rule",
-                f"{ideal_text(ideal)} ^ {d}",
-                nu_power_rule(ideal, d),
-                nu_monomial(ideal**d).nu,
-            )
-        )
+        results.append(power_rule(ideal, rng.randint(1, POWER_MAX)))
     for h in range(1, bounds.balanced_pair_max + 1):
         for k in range(1, bounds.balanced_pair_max + 1):
             ideal = complete_intersection(h, h) * complete_intersection(k, k)
@@ -476,11 +478,17 @@ def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
                 )
             )
     for _ in range(bounds.tangent_products):
-        product = random_tower_product(rng, 3, True)
-        results.extend(_diagram_results(product, "nu/diagram-consistency"))
+        results += diagram(random_tower_product(rng, 3, True), "nu/diagram-consistency")
     results.extend(check_pair_agreement(bounds))
     results.extend(check_m_power())
     return results
+
+
+def _power_rule_result(ideal: MonomialIdeal, d: int) -> CheckResult:
+    instance = f"{ideal_text(ideal)} ^ {d}"
+    return CheckResult.compare(
+        "nu/power-rule", instance, nu_power_rule(ideal, d), nu_monomial(ideal**d).nu
+    )
 
 
 def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
@@ -602,21 +610,25 @@ def check_normal_products(rng: random.Random, bounds: Bounds) -> list[CheckResul
     the nu report (d, length and normality included), the factorization and
     the closure.  It reads polygon(), since nu() reads a lone list directly."""
     results = []
+    product = cache(_normal_product_results)
     for _ in range(bounds.normal_products):
-        text = random_normal_product(rng, bounds)
-        elaborated = parse(text)
-        polygon = elaborated.polygon()  # the sum, lone lists included
-        ideal = elaborated.require_ideal()
-        results += [
-            CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),
-            CheckResult.compare(
-                "factor/normal-product", text, factor_normal(ideal), polygon_factors(polygon)
-            ),
-            CheckResult.compare(
-                "closure/normal-product", text, integral_closure(ideal), polygon_closure(polygon)
-            ),
-        ]
+        results += product(random_normal_product(rng, bounds))
     return results
+
+
+def _normal_product_results(text: str) -> list[CheckResult]:
+    elaborated = parse(text)
+    polygon = elaborated.polygon()  # the sum, lone lists included
+    ideal = elaborated.require_ideal()
+    return [
+        CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),
+        CheckResult.compare(
+            "factor/normal-product", text, factor_normal(ideal), polygon_factors(polygon)
+        ),
+        CheckResult.compare(
+            "closure/normal-product", text, integral_closure(ideal), polygon_closure(polygon)
+        ),
+    ]
 
 
 def check_m_power() -> list[CheckResult]:
@@ -677,46 +689,40 @@ def check_closure(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
     """
     seeds = [complete_intersection(a, b) for a, b in ((2, 2), (2, 3), (5, 5))]
     drawn = [random_ideal(rng, RANDOM_BOX) for _ in range(bounds.closure_ideals)]
-    results = [_closure_result(ideal) for ideal in seeds + drawn]
+    closure = cache(_closure_result)
+    results = [closure(ideal) for ideal in seeds + drawn]
+    normal = cache(_normal_results)
     for _ in range(bounds.normal_ideals):
-        ideal = random_normal_ideal(rng, RANDOM_BOX)
-        results.append(
-            CheckResult.compare(
-                "closure/normal-fixed-point",
-                ideal_text(ideal),
-                ideal,
-                integral_closure(ideal),
-            )
-        )
-        results.append(
-            CheckResult.compare(
-                "closure/normal-staircase-conditions",
-                ideal_text(ideal),
-                True,
-                staircase_conditions(ideal),
-            )
-        )
+        results += normal(random_normal_ideal(rng, RANDOM_BOX))
+    routes = cache(_normal_routes_results)
     for _ in range(bounds.normal_ideals):
-        ideal = random_ideal(rng, STAIRCASE_BOX)
-        normal = is_normal(ideal)
-        results.append(
-            CheckResult.compare(
-                "closure/normal-routes",
-                ideal_text(ideal),
-                integral_closure(ideal) == ideal,
-                normal,
-            )
-        )
-        if normal:
-            results.append(
-                CheckResult.compare(
-                    "closure/normal-staircase-conditions",
-                    ideal_text(ideal),
-                    True,
-                    staircase_conditions(ideal),
-                )
-            )
+        results += routes(random_ideal(rng, STAIRCASE_BOX))
     return results
+
+
+def _staircase_result(ideal: MonomialIdeal) -> CheckResult:
+    return CheckResult.compare(
+        "closure/normal-staircase-conditions", ideal_text(ideal), True, staircase_conditions(ideal)
+    )
+
+
+def _normal_results(ideal: MonomialIdeal) -> list[CheckResult]:
+    """A normal ideal is its own closure and passes the staircase conditions."""
+    text = ideal_text(ideal)
+    fixed_point = CheckResult.compare(
+        "closure/normal-fixed-point", text, ideal, integral_closure(ideal)
+    )
+    return [fixed_point, _staircase_result(ideal)]
+
+
+def _normal_routes_results(ideal: MonomialIdeal) -> list[CheckResult]:
+    """The Pick-count normality test against the closure; a normal ideal
+    also passes the staircase conditions."""
+    normal = is_normal(ideal)
+    routes = CheckResult.compare(
+        "closure/normal-routes", ideal_text(ideal), integral_closure(ideal) == ideal, normal
+    )
+    return [routes, _staircase_result(ideal)] if normal else [routes]
 
 
 def _closure_result(ideal: MonomialIdeal) -> CheckResult:
@@ -737,8 +743,9 @@ def run_all(seed: int = 0, bounds: Bounds | None = None) -> list[CheckResult]:
     results.extend(check_length_forms(rng, bounds))
     results.extend(check_nu_cross(rng, bounds))
     results.extend(check_closure(rng, bounds))
+    diagram = cache(_diagram_results)
     for _ in range(bounds.tangent_products // 5):
-        results.extend(_diagram_results(random_complete_pair(rng), "nu/diagram-consistency"))
+        results += diagram(random_complete_pair(rng), "nu/diagram-consistency")
     results.extend(check_normal_products(rng, bounds))  # last: earlier draws stay as they were
     return sorted(results, key=lambda r: (r.name, r.instance))
 

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
@@ -229,6 +230,28 @@ def test_tower_patterns_compile_on_first_use(monkeypatch):
     assert compiled == []
     parse("tower(x; g=y - 2/3 y^2; exps=[3, 4])")
     assert compiled == [expr._TERM, expr._INT_LIST]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before 3.10.7"
+)
+def test_literals_above_a_lowered_int_to_str_limit():
+    # parse converts each digit run whatever limit the process has set, and
+    # restores that limit, also when it refuses the text
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    try:
+        d = 10**2000 - 1
+        assert parse("m^" + "9" * 2000).length() == d * (d + 1) // 2
+        tower = parse(f"tower(x; g={'9' * 2000}/7*y; exps=[1, {'9' * 2000}])").require_towers()
+        assert tower.towers[0].tangent == (Fraction(d, 7),)
+        assert tower.towers[0].exponents == (1, d)
+        assert sys.get_int_max_str_digits() == 1000
+        with pytest.raises(ParseError):
+            parse("m^" + "9" * 2000 + " +")
+        assert sys.get_int_max_str_digits() == 1000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_sparse_tangent_text_round_trip():

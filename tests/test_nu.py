@@ -92,6 +92,26 @@ class TestEdgeData:
             for c in nu_monomial(I).components:
                 assert c.edge.lattice_length % c.d == 0
 
+    def test_edge_slices_match_the_full_scan(self):
+        # nu_monomial reads each edge's generators between its vertices; the
+        # reference scans every generator against every edge
+        def full_scan(I):
+            degrees = []
+            for edge in newton_polygon(I).edges:
+                beta, alpha = edge.inward_ray
+                d = 0
+                for a, b in I.generators:
+                    if beta * a + alpha * b == edge.support_value:
+                        d = gcd(d, (edge.start[0] - a) // alpha)
+                degrees.append(d)
+            return degrees
+
+        rng = random.Random(24)
+        products = [random_fat_ideal(rng, 6) * random_fat_ideal(rng, 6) for _ in range(50)]
+        products += [MAXIMAL_IDEAL**3 * complete_intersection(2, 4), n_ab(3, 5) ** 2]
+        for I in products + [random_fat_ideal(rng, box) for box in (2, 5, 12, 40) * 50]:
+            assert [c.d for c in nu_monomial(I).components] == full_scan(I), I
+
 
 class TestNuMonomial:
     def test_n23(self):

@@ -979,6 +979,23 @@ class TestDivisorDegreeChecks:
                 assert degree_on_curve <= 0
                 assert (degree_on_curve < 0) == node.surviving
 
+    def test_a_wrong_multiplicity_names_its_curve(self):
+        # the check reads build_dynkin's columns; raising the level-3 curve's
+        # multiplicity by 1 lifts its parent's divisor degree to 0, a survivor's
+        diagram = towers.build_dynkin(TowerProduct([complete("x", 3), complete("y", 2)]))
+        columns = map(list, zip(*diagram.nodes))
+        _, levels, _, _, self_intersection, multiplicity, surviving = columns
+        towers._check_contraction_degrees(
+            diagram.parents, levels, self_intersection, multiplicity, surviving
+        )
+        multiplicity[-1] += 1
+        with pytest.raises(AssertionError, match=(
+            r"divisor degree 0 on the level-2 curve contradicts multiplicity 7 / survival True"
+        )):
+            towers._check_contraction_degrees(
+                diagram.parents, levels, self_intersection, multiplicity, surviving
+            )
+
 
 @st.composite
 def powered_towers(draw, tangents):

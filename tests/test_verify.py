@@ -1,9 +1,12 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from behrend import (
+    UNIT_IDEAL,
     MonomialIdeal,
     TowerProduct,
     build_dynkin,
@@ -273,7 +276,7 @@ def test_contraction_degrees_compares_two_integers():
 def test_contraction_check_failure_is_reported(monkeypatch):
     import behrend.towers
 
-    def broken(nodes, edges):
+    def broken(*columns):
         raise AssertionError("divisor degree 1 on the level-1 curve")
 
     monkeypatch.setattr(behrend.towers, "_check_contraction_degrees", broken)
@@ -312,3 +315,66 @@ def test_complete_pairs_reach_the_two_tower_route():
         if r.name == "nu/diagram-consistency"
     ]
     assert any(len(p.towers) == 2 and not p.all_monomial for p in products)
+
+
+# sha256 of the lines repr((name, instance, repr(expected), repr(actual),
+# status)) of run_all(seed) at the default preset, one per result
+DEFAULT_DIGESTS = {
+    0: "f6067b4506e040fa947701f490259ff05495bdcc321df041a235282d18b95cdc",
+    1: "6da733bf2f6ce2ad2fa765b4d3a87d1a25217350778454e2fd9b2e5288836e9b",
+    2: "360c0fdf3636a79e93330d359000094e8d11d86cdeb42413c3593f43d974d26a",
+    99: "19438a5c52767a0410a783526e457114ace6b2185d266aab7a1ba1152b3d0335",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_DIGESTS))
+def test_default_runs_are_pinned(seed):
+    # every draw, instance, value and status, in order
+    digest = hashlib.sha256()
+    for r in run_all(seed, PRESETS["default"]):
+        line = repr((r.name, r.instance, repr(r.expected), repr(r.actual), r.status))
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == DEFAULT_DIGESTS[seed]
+
+
+def most_drawn(results, family, admit=lambda instance: True):
+    """The instance family reports most often in results, and how often."""
+    drawn = Counter(r.instance for r in results if r.name == family and admit(r.instance))
+    instance, count = drawn.most_common(1)[0]
+    assert count > 1
+    return instance, count
+
+
+def test_a_repeated_closure_draw_fails_every_time(monkeypatch):
+    import behrend.verify
+
+    instance, count = most_drawn(run_all(0), "closure/definitional")
+    target = parse(instance).require_ideal()
+    oracle = behrend.verify.integral_closure_oracle
+    monkeypatch.setattr(
+        behrend.verify,
+        "integral_closure_oracle",
+        lambda ideal: UNIT_IDEAL if ideal == target else oracle(ideal),
+    )
+    failed = [(r.name, r.instance) for r in run_all(0) if r.status == "fail"]
+    assert failed == [("closure/definitional", instance)] * count
+
+
+def test_a_repeated_power_draw_fails_every_time(monkeypatch):
+    import behrend.verify
+
+    # d >= 2, so the base ideal, whose nu the power rule reads, stays right
+    instance, count = most_drawn(
+        run_all(0), "nu/power-rule", lambda instance: not instance.endswith("^ 1")
+    )
+    target = parse(instance).require_ideal()
+    nu_monomial = behrend.verify.nu_monomial
+
+    def wrong(ideal):
+        report = nu_monomial(ideal)
+        return report._replace(nu=report.nu + 1) if ideal == target else report
+
+    monkeypatch.setattr(behrend.verify, "nu_monomial", wrong)
+    # fixed families may meet the same ideal, (x, y)^3 = (x, y) * (x^2, y^2)
+    results = [r for r in run_all(0) if r.name == "nu/power-rule"]
+    assert [r.instance for r in results if r.status == "fail"] == [instance] * count
