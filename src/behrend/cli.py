@@ -27,7 +27,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParseError, UnsupportedError
-from .expr import factors_text, ideal_text, parse
+from .expr import UnlimitedIntDigits, factors_text, ideal_text, parse
 from .newton import closure_size, polygon_closure
 from .normal_factor import factors_fan
 
@@ -320,35 +320,28 @@ def main(argv=None) -> int:
         args.format = env_format if env_format in ("text", "json") else "text"
     if args.command == "normal":
         args.command = "normal?"
-    # Answers, labels and messages may have more digits than CPython (3.10.7
-    # on) converts by default: a length is quadratic in the exponents.  Every
-    # literal is within expr.DIGIT_CAP, so the limit is lifted for the command.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    try:
-        if limit:
-            sys.set_int_max_str_digits(0)
-        code = _run_command(args)
-        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
-        return code
-    except BrokenPipeError:
-        # The reader went away (`behrend nu ... | head -1`).  Point stdout at
-        # devnull so that the interpreter's last flush has nowhere to fail.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    except ParseError as error:
-        print(f"syntax error: {error.diagnostic()}", file=sys.stderr)
-        return 1
-    except DomainError as error:
-        print(f"domain error: {error}", file=sys.stderr)
-        return 2
-    except UnsupportedError as error:
-        print(f"unsupported: {error}", file=sys.stderr)
-        return 3
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # a length is quadratic in the exponents, so answers may outgrow the literals
+    with UnlimitedIntDigits():
+        try:
+            code = _run_command(args)
+            sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+            return code
+        except BrokenPipeError:
+            # The reader went away (`behrend nu ... | head -1`).  Point stdout at
+            # devnull so that the interpreter's last flush has nowhere to fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
+        except ParseError as error:
+            print(f"syntax error: {error.diagnostic()}", file=sys.stderr)
+            return 1
+        except DomainError as error:
+            print(f"domain error: {error}", file=sys.stderr)
+            return 2
+        except UnsupportedError as error:
+            print(f"unsupported: {error}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

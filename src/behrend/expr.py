@@ -13,8 +13,9 @@ Grammar (whitespace-insensitive, left-associative `*`, postfix `^`):
 Variables are fixed to x and y; a z anywhere is rejected as out of scope
 (fat points in three or more variables).  parse validates every atom but
 multiplies nothing and builds no closure: it returns the expression as a
-product of powers of its atoms, n(a,b) kept as the pair it names, and
-Elaborated picks the route that answers each query.
+product of powers of its atoms, m read as the generator list (x, y) and
+n(a,b) kept as the pair it names, and Elaborated picks the route that
+answers each query.
 
 The parser holds one token of lookahead and scans the next token at its
 position with one compiled regular expression.  A search for a character
@@ -71,6 +72,23 @@ class Token(NamedTuple):
 DIGIT_CAP = 4300
 _LONG = re.compile(f"(?<![0-9])[0-9]{{{DIGIT_CAP + 1}}}")  # tries each run once
 
+
+class UnlimitedIntDigits:
+    """Lifts CPython's int-to-str limit (3.10.7 on) inside a with block and
+    restores it after: every literal is within DIGIT_CAP, but answers, labels
+    and messages may have more digits than the limit allows.  A class, not a
+    generator, since each query enters it twice."""
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 # Most generators require_ideal multiplies out.  The cost grows as the square
 # of the count: at 1,000 the slowest product tried, (x^3, x y, y^3)^499, takes
 # about 0.06 s on a 2-core host, and at 2,000 (x^3, x y, y^3)^999 0.3 s.
@@ -81,9 +99,9 @@ class Elaborated(NamedTuple):
     """An expression as a product of powers, answered by one route per query.
 
     terms holds one (atom, d) pair per factor, in the order written: atom is
-    the MonomialIdeal of a generator list, the NabFactor of an n(a,b), the
-    Tower of a tower literal, or the string "m" for the maximal ideal, and d
-    its exponent.
+    the MonomialIdeal of a generator list (m is the list (x, y)), the
+    NabFactor of an n(a,b) or the Tower of a tower literal, and d its
+    exponent.
 
     length, nu, normal, factors and staircase take the first route that fits:
       - for length and nu of non-monomial towers, the diagram engine on the
@@ -99,13 +117,13 @@ class Elaborated(NamedTuple):
     has none of these forms and is refused.
     """
 
-    terms: tuple[tuple[MonomialIdeal | NabFactor | Tower | str, int], ...]
+    terms: tuple[tuple[MonomialIdeal | NabFactor | Tower, int], ...]
 
     @property
     def is_monomial(self) -> bool:
         """Whether require_ideal answers: no atom is a non-monomial tower."""
         return all(
-            isinstance(atom, (MonomialIdeal, NabFactor, str)) or atom.is_monomial
+            isinstance(atom, (MonomialIdeal, NabFactor)) or atom.is_monomial
             for atom, _ in self.terms
         )
 
@@ -160,9 +178,7 @@ class Elaborated(NamedTuple):
         multiplied out.  Raises DomainError when the product is no fat point."""
         terms = []
         for atom, d in self.terms:
-            if atom == "m":
-                polygon = newton_polygon(MAXIMAL_IDEAL)
-            elif isinstance(atom, NabFactor):
+            if isinstance(atom, NabFactor):
                 polygon = atom.polygon
             elif isinstance(atom, MonomialIdeal) and atom.is_finite_colength:
                 polygon = newton_polygon(atom)
@@ -184,11 +200,8 @@ class Elaborated(NamedTuple):
                 "this expression contains a non-monomial tower and does not "
                 "expand to a monomial ideal"
             )
-        bases = [
-            (atom if isinstance(atom, (MonomialIdeal, NabFactor)) else
-             MAXIMAL_IDEAL if atom == "m" else atom.ideal(), d)
-            for atom, d in self.terms
-        ]
+        bases = [(atom if isinstance(atom, (MonomialIdeal, NabFactor)) else atom.ideal(), d)
+                 for atom, d in self.terms]
         if sum(d for _, d in bases) > 1 and _generator_bound(bases) > EXPANSION_CAP:
             raise UnsupportedError(
                 f"multiplying this product out could exceed the expansion cap of "
@@ -203,26 +216,26 @@ class Elaborated(NamedTuple):
         return ideal
 
     def require_towers(self) -> TowerProduct:
-        """The towers of d copies of each term's factors (an m is one).
+        """The towers of d copies of each term's factors.  The list (x, y),
+        however written, is m: an exponent-1 factor, which from_factors floats.
 
         A product with a power is refused above DIAGRAM_CAP factors, before
         any copy is built; one without has no more factors than its text.
         """
-        if any(isinstance(atom, (MonomialIdeal, NabFactor)) for atom, _ in self.terms):
+        from .towers import DIAGRAM_CAP, TowerProduct, make_tower
+
+        atoms = [(make_tower("x", (), (1,)) if atom == MAXIMAL_IDEAL else atom, d)
+                 for atom, d in self.terms]
+        if any(isinstance(atom, (MonomialIdeal, NabFactor)) for atom, _ in atoms):
             raise UnsupportedError(
                 "this expression is not a product of towers (raw generator "
                 "lists and n(a,b) atoms have no tower form)"
             )
-        from .towers import DIAGRAM_CAP, Factor, TowerProduct
-
-        count = sum(d * (1 if atom == "m" else len(atom.exponents)) for atom, d in self.terms)
-        if count > DIAGRAM_CAP and any(d > 1 for _, d in self.terms):
+        count = sum(d * len(atom.exponents) for atom, d in atoms)
+        if count > DIAGRAM_CAP and any(d > 1 for _, d in atoms):
             raise UnsupportedError(f"the product has {count} tower factors, "
                                    f"above the diagram cap of {DIAGRAM_CAP}")
-        m = Factor(None, (), 1)
-        return TowerProduct.from_factors(
-            item for atom, d in self.terms for item in (m if atom == "m" else atom,) * d
-        )
+        return TowerProduct.from_factors(item for atom, d in atoms for item in (atom,) * d)
 
 
 def _generator_bound(bases) -> int:
@@ -311,20 +324,20 @@ class _Parser:
             terms.append(self.factor())
         return Elaborated(tuple(terms))
 
-    def factor(self) -> tuple[MonomialIdeal | Tower | str, int]:
+    def factor(self) -> tuple[MonomialIdeal | NabFactor | Tower, int]:
         atom = self.atom()
         if self.token.kind != "^":
             return atom, 1
         self.advance()
         return atom, self.expect_int("an integer exponent")
 
-    def atom(self) -> MonomialIdeal | Tower | str:
+    def atom(self) -> MonomialIdeal | NabFactor | Tower:
         token = self.token
         if token.kind == "(":
             return self.generator_list()
         if token.kind == "name" and token.value == "m":
             self.advance()
-            return "m"
+            return MAXIMAL_IDEAL
         if token.kind == "name" and token.value == "n":
             self.advance()
             self.expect("(", "'(' after n")
@@ -455,17 +468,10 @@ def parse(text: str) -> Elaborated:
     """Parse an ideal/tower expression; errors carry caret positions.
 
     Every digit run is within DIGIT_CAP, so each is converted whatever
-    int-to-str limit (CPython 3.10.7 on) the process has set: the limit is
-    lifted while the text is read and restored after.
+    int-to-str limit the process has set.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    try:
-        if limit:
-            sys.set_int_max_str_digits(0)
+    with UnlimitedIntDigits():
         return _Parser(text).parse()
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 # -- printers -----------------------------------------------------------------

@@ -30,7 +30,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .ideals import MonomialIdeal
-from .newton import Edge, NewtonPolygon, is_normal, newton_polygon, polygon_colength
+from .newton import Edge, NewtonPolygon, newton_polygon, polygon_colength
 
 
 class ComponentRecord(NamedTuple):
@@ -80,7 +80,8 @@ def nu_monomial(ideal: MonomialIdeal) -> BehrendReport:
             if beta * a + alpha * b == e:
                 d = gcd(d, (a_start - a) // alpha)  # position in primitive steps
         degrees.append(d)
-    return _report(polygon, degrees, ideal.colength(), is_normal(ideal))
+    length = ideal.colength()  # normal iff the staircase is the polygon's lattice points
+    return _report(polygon, degrees, length, length == polygon_colength(polygon))
 
 
 def nu_normal(polygon: NewtonPolygon) -> BehrendReport:

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import time
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -318,9 +319,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "nu", "(x, y, z)")
         assert code == 3 and "three-variable" in err
 
-    def test_unsupported_mix(self, capsys):
-        code, _, err = run(capsys, "length", "(x^2, y^2) * tower(x; g=y; exps=[2])")
-        assert code == 3
+    @pytest.mark.parametrize("command,expr", [
+        ("length", "(x^2, y^2) * tower(x; g=y; exps=[2])"),
+        # of the generator lists only (x, y), however written, is a tower factor
+        ("nu", "(x^2, y) * tower(x; g=y; exps=[2, 3])"),
+        ("length", "(x^2, x y, y^2) * tower(x; g=y; exps=[2, 3])"),
+        ("nu", "n(1,1) * tower(x; g=y; exps=[2, 3])"),
+        ("dynkin", "n(99,99)^99"),
+    ])
+    def test_unsupported_mix(self, capsys, command, expr):
+        assert run(capsys, command, expr) == (3, "", (
+            "unsupported: this expression is not a product of towers (raw generator "
+            "lists and n(a,b) atoms have no tower form)\n"
+        ))
 
     @pytest.mark.parametrize(
         "command,expr,code,expected",
@@ -338,6 +349,8 @@ class TestExitCodes:
             ("length", "tower(x; g=y; exps=[2, 3])^2 * m^3", 0, "length = 41"),
             ("nu", "tower(x; g=y; exps=[2, 3]) * m^4", 0, "nu = 23"),
             ("length", "tower(x; g=y; exps=[2, 3]) * m^4", 0, "length = 25"),
+            ("nu", "(x, y) * tower(x; g=y; exps=[2, 3])", 0, "nu = 14"),
+            ("length", "(x, y) * tower(x; g=y; exps=[2, 3])", 0, "length = 10"),
             ("nu", "tower(x; g=y; exps=[2, 3])^75000", 0, "nu = 675000"),
             # refused before any copy is built, however large the exponent
             ("dynkin", "tower(x; g=y; exps=[2])^99999999999999999999", 3,
@@ -444,6 +457,17 @@ class TestOutputsAndEnv:
             assert summed[0] == 0
             assert summed == run(capsys, command, expanded, "--format", fmt)
 
+    @pytest.mark.parametrize("command", ["nu", "length", "dynkin"])
+    @pytest.mark.parametrize(
+        "m,spelled", [("m", "(x, y)"), ("m", "(y, x, x y)"), ("m^2", "(x, y)^2")]
+    )
+    def test_the_list_of_m_joins_tower_products_as_m(self, capsys, command, m, spelled):
+        tower = "tower(x; g=y; exps=[2, 3])"
+        for fmt in ("text", "json"):
+            printed = run(capsys, command, f"{spelled} * {tower}", "--format", fmt)
+            assert printed[0] == 0
+            assert printed == run(capsys, command, f"{m} * {tower}", "--format", fmt)
+
     def test_factor_roundtrip_through_parser(self, capsys):
         code, out, _ = run(capsys, "factor", "(x^6, x^4 y, x^2 y^2, x y^3, y^5)")
         from behrend import MonomialIdeal, parse
@@ -515,19 +539,66 @@ GRAMMAR_TOKENS = (
 )
 
 
+def exponent(rng):
+    """An exponent of 0 to 30 digits, small ones most often."""
+    return rng.choice((0, 1, 2, rng.randint(3, 9), rng.randint(0, 10 ** rng.randint(2, 30))))
+
+
+def valid_text(rng):
+    """A product of one to three powers of atoms, each a generator list (some
+    long), m, n(a,b) or a tower literal."""
+    def atom():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return "m"
+        if kind == 1:
+            return f"n({rng.randint(1, 40)},{exponent(rng)})"
+        if kind == 2:
+            exps = sorted(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+            branch, v = rng.choice(("xy", "yx"))
+            g = rng.choice(("0", v, f"-1/2*{v}^2 + 3 {v}"))
+            return f"tower({branch}; g={g}; exps={exps})"
+        n = rng.randint(2, 30) if kind == 3 else 2
+        return "(" + ", ".join(f"x^{exponent(rng)} y^{n - 1 - i}" for i in range(n)) + ")"
+
+    factors = [atom() for _ in range(rng.randint(1, 3))]
+    return " * ".join(f"{f}^{exponent(rng)}" if rng.random() < 0.4 else f for f in factors)
+
+
+def mutated(rng, text):
+    """text with up to three characters deleted, inserted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randint(0, len(chars))
+        what = rng.randrange(3)
+        if what and i < len(chars):
+            del chars[i]
+        if what != 1:
+            chars.insert(i, rng.choice("0123456789" + "".join(GRAMMAR_TOKENS)))
+    return "".join(chars)
+
+
 class TestFuzz:
     @given(
-        st.sampled_from(("length", "nu", "normalize", "normal?", "factor", "fan", "dynkin")),
+        st.sampled_from(
+            ("length", "nu", "normalize", "normal?", "factor", "fan", "ferrers", "dynkin")
+        ),
         st.randoms(use_true_random=False),
     )
-    @settings(max_examples=150)
+    @settings(max_examples=200)
     def test_arbitrary_text_exits_with_a_code(self, command, rng):
-        # tokens drawn uniformly, so brackets and operators mix within one
-        # text; hypothesis's own list draws seldom put "(" and ")" together
-        text = "".join(
-            str(rng.randint(0, 99)) if rng.random() < 0.2 else rng.choice(GRAMMAR_TOKENS)
-            for _ in range(rng.randint(1, 32))
-        )
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        if rng.random() < 0.5:
+            # tokens drawn uniformly, so brackets and operators mix within one
+            # text; hypothesis's own list draws seldom put "(" and ")" together
+            text = "".join(
+                str(rng.randint(0, 99)) if rng.random() < 0.2 else rng.choice(GRAMMAR_TOKENS)
+                for _ in range(rng.randint(1, 32))
+            )
+        else:  # near-valid text, which gets past the parser more often
+            text = mutated(rng, valid_text(rng))
+        err = io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main([command, "--", text])
-        assert code in (0, 1, 2, 3)
+        assert time.perf_counter() - start < 5, text
+        assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), text

@@ -47,6 +47,10 @@ class TestParsing:
     def test_exponent_one_optional(self):
         assert parse("(x^1 y^1)").require_ideal() == parse("(x y)").require_ideal()
 
+    def test_m_is_the_list_of_x_and_y(self):
+        assert parse("m") == parse("(x, y)") == parse("(y, x, x y)")
+        assert parse("m^2 * n(1,2)") == parse("(x, y)^2 * n(1,2)")
+
     def test_unit_ideal(self):
         assert parse("(1)").require_ideal() == MonomialIdeal([(0, 0)])
 

@@ -1,7 +1,7 @@
 """Every record type of the package is an immutable value: it refuses
 attribute assignment, survives copy, deepcopy and pickle as an equal value
-of the same type, and keeps its hash.  The two records with invariants,
-NabFactor and FerrersDiagram, check them on construction."""
+of the same type, and keeps its hash.  The three records with invariants,
+NabFactor, FerrersDiagram and TowerProduct, check them on construction."""
 
 import copy
 import pickle
@@ -19,6 +19,8 @@ from behrend import (
     FerrersDiagram,
     MonomialIdeal,
     NabFactor,
+    TowerProduct,
+    UnsupportedError,
     fan_of,
     factor_normal,
     make_tower,
@@ -33,9 +35,10 @@ from behrend.verify import PRESETS
 
 IDEAL = MonomialIdeal([(4, 0), (3, 1), (1, 2), (0, 5)])
 NORMAL = n_ab(4, 6) * n_ab(1, 2)
-SUMMARY = noncomplete_product_nu(
-    parse("tower(x; g = 1/2*y; exps = [1, 3]) * tower(x; g = -y; exps = [2])").require_towers()
-)
+PRODUCT = parse(
+    "tower(x; g = 1/2*y; exps = [1, 3]) * tower(x; g = -y; exps = [2])"
+).require_towers()
+SUMMARY = noncomplete_product_nu(PRODUCT)
 
 
 def instances():
@@ -54,6 +57,7 @@ def instances():
         report,
         make_tower("y", (Fraction(2, 3), 0, 1), (2, 4, 5)),
         Factor("x", (Fraction(-1, 2),), 2),
+        PRODUCT,
         SUMMARY.diagram.nodes[1],
         SUMMARY.diagram,
         SUMMARY,
@@ -84,7 +88,7 @@ def record_types():
 
 def test_every_record_type_has_an_instance():
     assert {type(record) for record in instances()} == record_types()
-    assert len(record_types()) == 17
+    assert len(record_types()) == 18
 
 
 ROUND_TRIPS = {
@@ -130,11 +134,23 @@ def test_make_and_replace_check_the_invariants():
         FerrersDiagram._make(((1, 3),))
     with pytest.raises(DomainError, match="positive"):
         FerrersDiagram((2, 1))._replace(column_heights=(2, 0))
+    twin = PRODUCT.towers[0]._replace(exponents=(2, 3))
+    with pytest.raises(DomainError, match="sharing branch and tangent"):
+        PRODUCT._replace(towers=(*PRODUCT.towers, twin))
+    with pytest.raises(DomainError, match="sharing branch and tangent"):
+        TowerProduct._make(((twin, PRODUCT.towers[0]),))
+    aligned = (make_tower("x", (2,), (2,)), make_tower("y", (Fraction(1, 2),), (2,)))
+    with pytest.raises(UnsupportedError, match="aligned"):
+        TowerProduct._make((aligned,))
 
 
 @pytest.mark.parametrize(
     "record,change",
-    [(NabFactor(2, 3, 1), {"alpha": 4}), (FerrersDiagram((3, 1)), {"column_heights": (2, 2)})],
+    [
+        (NabFactor(2, 3, 1), {"alpha": 4}),
+        (FerrersDiagram((3, 1)), {"column_heights": (2, 2)}),
+        (PRODUCT, {"towers": PRODUCT.towers[:1]}),
+    ],
 )
 def test_valid_replace_and_make_keep_the_type(record, change):
     changed = record._replace(**change)
