@@ -19,14 +19,14 @@ query; this module applies the output caps, formats and prints.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, ParseError, UnsupportedError
+from .errors import DomainError, ParseError, UnsupportedError, number_text
 from .expr import UnlimitedIntDigits, factors_text, ideal_text, parse
 from .newton import closure_size, polygon_closure
 from .normal_factor import factors_fan
@@ -226,7 +226,8 @@ def _run_command(args) -> int:
 
 def _check_output(size: int, cap: int, what: str, unit: str) -> None:
     if size > cap:
-        raise UnsupportedError(f"{what} has {size} {unit}, above the output cap of {cap}")
+        raise UnsupportedError(
+            f"{what} has {number_text(size)} {unit}, above the output cap of {cap}")
 
 
 def _run_verify(args) -> int:
@@ -269,57 +270,101 @@ def _run_verify(args) -> int:
     return 0 if counts["fail"] == 0 else 2
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; --format defaults to None and
-    main resolves it from BEHREND_FORMAT on every call."""
-    parser = argparse.ArgumentParser(
-        prog="behrend",
-        description="Invariants of plane fat points: lengths, closures, fans, "
-        "factorizations and Behrend numbers.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+# command: (help line, takes an expression, options besides --format)
+COMMANDS = {
+    "length": ("colength of the fat point", True, ()),
+    "nu": ("Behrend number with per-component breakdown", True, ()),
+    "normalize": ("integral closure of the ideal", True, ()),
+    "normal?": ("test whether the ideal is normal (alias: normal)", True, ()),
+    "factor": ("factor a normal ideal into n(a,b) atoms", True, ()),
+    "fan": ("toric fan of the blowup of a normal ideal", True, ("--svg",)),
+    "ferrers": ("staircase diagram of the ideal", True, ("--svg",)),
+    "dynkin": ("exceptional-curve diagram of a tower product (DOT)", True, ("--svg",)),
+    "verify": ("run the brute-force verification suite", False, ("--seed", "--bounds")),
+}
+# --bounds lists the keys of verify.PRESETS, so that reading argv skips verify
+CHOICES = {"--format": ("text", "json"), "--bounds": ("default", "quick")}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a positional, as argparse reads it
 
-    def add(name, help_text, expr=True, svg=False, aliases=()):
-        sub = subparsers.add_parser(name, help=help_text, aliases=list(aliases))
-        if expr:
-            sub.add_argument("expr", help="ideal or tower expression")
-        sub.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default=None,
-            help="output format (default from BEHREND_FORMAT, else text)",
-        )
-        if svg:
-            sub.add_argument("--svg", metavar="PATH", help="also write a standalone SVG")
+
+def _usage(command: str | None) -> str:
+    _, expr, extra = COMMANDS.get(command, ("", True, ()))
+    shown = [f"[{n} {{{','.join(CHOICES[n])}}}]" if n in CHOICES else
+             f"[{n} {'SEED' if n == '--seed' else 'PATH'}]" for n in ("--format", *extra)]
+    return " ".join(["usage: behrend", command or "<command>", "[-h]", *shown] + ["expr"] * expr)
+
+
+def _refuse(command: str | None, message: str):
+    print(f"{_usage(command)}\nbehrend: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(token: str, names: tuple[str, ...]):
+    """None for a positional, else (the option that the token or its unique
+    prefix names, or None, and the value after '=' or None)."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[:2] == "-h" and len(token) > 2:  # -h with a value joined on
+        return "-h", token[2:]
+    head, eq, value = token.partition("=")
+    found = [name for name in names if name.startswith(head)]
+    if len(found) > 1 and head[:2] == "--":
+        _refuse(None, f"ambiguous option: {token} could match {', '.join(found)}")
+    if len(found) == 1:
+        return found[0], value if eq else None
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def read_args(argv):
+    """The six fields _run_command reads, as argparse read them: options go
+    anywhere after the command, as --name value, --name=value or a unique
+    prefix of the name, and every token after "--" is a positional."""
+    args = SimpleNamespace(command=None, expr=None, format=None, svg=None, seed=0,
+                           bounds="default")
+    names, plain, extra, tokens = ("-h", "--help"), [], [], iter(argv)
+    for token in tokens:
+        option = None if token == "--" else _option(token, names)
+        if option is None and args.command is None:
+            args.command = "normal?" if token == "normal" else token
+            if args.command not in COMMANDS:
+                _refuse(None, f"invalid command {token!r} (choose from {', '.join(COMMANDS)})")
+            names += ("--format", *COMMANDS[args.command][2])
+        elif token == "--":
+            plain += tokens
+        elif option is None or option[0] is None:
+            (extra if option else plain).append(token)
+        elif option[0] in ("-h", "--help"):
+            if option[1] is not None:
+                _refuse(args.command, f"{option[0]} takes no value")
+            rows = [args.command] if args.command else COMMANDS
+            print(_usage(args.command), *(f"  {c:<10} {COMMANDS[c][0]}" for c in rows),
+                  "--format defaults to BEHREND_FORMAT, else text", sep="\n")
+            raise SystemExit(0)
         else:
-            sub.set_defaults(svg=None)
-        return sub
-
-    add("length", "colength of the fat point")
-    add("nu", "Behrend number with per-component breakdown")
-    add("normalize", "integral closure of the ideal")
-    add("normal?", "test whether the ideal is normal", aliases=("normal",))
-    add("factor", "factor a normal ideal into n(a,b) atoms")
-    add("fan", "toric fan of the blowup of a normal ideal", svg=True)
-    add("ferrers", "staircase diagram of the ideal", svg=True)
-    add("dynkin", "exceptional-curve diagram of a tower product (DOT)", svg=True)
-    verify = add("verify", "run the brute-force verification suite", expr=False)
-    verify.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
-    verify.add_argument(
-        # the keys of verify.PRESETS, written out so that parsing skips verify
-        "--bounds", choices=("default", "quick"), default="default", help="bounds preset"
-    )
-    return parser
+            name, value = option
+            if value is None and ((value := next(tokens, "--")) == "--" or _option(value, names)):
+                _refuse(args.command, f"{name} expects a value")
+            if name == "--seed":
+                try:
+                    value = int(value)
+                except ValueError:
+                    _refuse(args.command, f"--seed takes an integer, not {value!r}")
+            elif value not in CHOICES.get(name, (value,)):
+                _refuse(args.command, f"{name} takes {' or '.join(CHOICES[name])}, not {value!r}")
+            setattr(args, name[2:], value)
+    if args.command is None or COMMANDS[args.command][1] and not plain:
+        _refuse(args.command, "an expression is required" if args.command else "no command")
+    args.expr = plain.pop(0) if COMMANDS[args.command][1] else None
+    if extra or plain:
+        _refuse(args.command, "unrecognized arguments: " + " ".join(extra + plain))
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = read_args(sys.argv[1:] if argv is None else argv)
     if args.format is None:
         env_format = os.environ.get("BEHREND_FORMAT", "text")
         args.format = env_format if env_format in ("text", "json") else "text"
-    if args.command == "normal":
-        args.command = "normal?"
     # a length is quadratic in the exponents, so answers may outgrow the literals
     with UnlimitedIntDigits():
         try:

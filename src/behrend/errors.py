@@ -1,4 +1,5 @@
-"""Error hierarchy shared by the library and the CLI.
+"""Error hierarchy shared by the library and the CLI, and how their
+messages write a number.
 
 The CLI maps these onto exit codes: ParseError -> 1, DomainError -> 2,
 UnsupportedError -> 3.
@@ -30,3 +31,13 @@ class DomainError(BehrendError):
 
 class UnsupportedError(BehrendError):
     """Well-formed input that no implemented engine covers."""
+
+
+def number_text(n: int) -> str:
+    """n, or "<k digits>" when it has k > 30 digits: a message stays short
+    however large the number that the input formed, and needs no int-to-str
+    conversion of it."""
+    if abs(n) < 10**30:
+        return str(n)
+    digits = int(abs(n).bit_length() * 0.30102999566398120)  # the count or one less
+    return f"<{digits + (abs(n) >= 10**digits)} digits>"

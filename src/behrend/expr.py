@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ParseError, UnsupportedError
+from .errors import ParseError, UnsupportedError, number_text
 from .ideals import MAXIMAL_IDEAL, UNIT_IDEAL, MonomialIdeal
 from .newton import (
     NewtonPolygon, is_normal, newton_polygon, polygon_closure, polygon_colength, polygon_sum,
@@ -41,7 +40,9 @@ from .newton import (
 from .normal_factor import NabFactor, factor_normal, nab_atom, polygon_factors
 from .nu import BehrendReport, nu_monomial, nu_normal
 
-if TYPE_CHECKING:  # towers is imported only where a tower form is built
+if TYPE_CHECKING:  # towers and fractions are imported only where a tower form is built
+    from fractions import Fraction
+
     from .towers import Tower, TowerNuSummary, TowerProduct
 
 # One alternative per token kind after optional whitespace, in ASCII only; the
@@ -233,7 +234,7 @@ class Elaborated(NamedTuple):
             )
         count = sum(d * len(atom.exponents) for atom, d in atoms)
         if count > DIAGRAM_CAP and any(d > 1 for _, d in atoms):
-            raise UnsupportedError(f"the product has {count} tower factors, "
+            raise UnsupportedError(f"the product has {number_text(count)} tower factors, "
                                    f"above the diagram cap of {DIAGRAM_CAP}")
         return TowerProduct.from_factors(item for atom, d in atoms for item in (atom,) * d)
 
@@ -425,6 +426,8 @@ class _Parser:
     def tangent_poly(self, variable: str) -> list[Fraction]:
         """Polynomial in the branch-opposite variable with rational coefficients
         and zero constant term, one match per term."""
+        from fractions import Fraction
+
         term_at, terms, pos = re.compile(_TERM).match, [], self.token.pos
         while (term := term_at(self.text, pos))[1] or not terms:  # a sign between terms
             sign, numerator, slash, denominator, name, caret, degree = term.groups()
@@ -454,11 +457,13 @@ class _Parser:
         if coefficients.get(0):
             self.fail("the tangent polynomial must vanish at 0")
         top = max((d for d, c in coefficients.items() if c), default=0)
+        from fractions import Fraction
+
         from .towers import DIAGRAM_CAP
 
         if top > DIAGRAM_CAP:
             raise UnsupportedError(
-                f"the tangent has degree {top}, above the diagram cap of {DIAGRAM_CAP}"
+                f"the tangent has degree {number_text(top)}, above the diagram cap of {DIAGRAM_CAP}"
             )
         zero = Fraction(0)
         return [coefficients.get(d, zero) for d in range(1, top + 1)]

@@ -12,7 +12,7 @@ from itertools import repeat
 from operator import index
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, number_text
 
 Exponent = tuple[int, int]
 
@@ -130,7 +130,8 @@ class MonomialIdeal:
 
     def _require_finite(self):
         if not self.is_finite_colength:
-            raise DomainError(f"{self!r} does not have finite colength")
+            pairs = ", ".join(f"({number_text(a)}, {number_text(b)})" for a, b in self.generators)
+            raise DomainError(f"MonomialIdeal([{pairs}]) does not have finite colength")
 
     def require_fat_point(self):
         """Raise unless the ideal cuts out a fat point (finite colength, not (1))."""

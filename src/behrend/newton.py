@@ -71,8 +71,7 @@ def newton_polygon(ideal: MonomialIdeal) -> NewtonPolygon:
     """
     if ideal._polygon is not None:
         return ideal._polygon
-    if not ideal.is_finite_colength:
-        raise DomainError(f"{ideal!r} does not have finite colength")
+    ideal._require_finite()
     chain: list[Exponent] = []
     for point in ideal.generators:  # ascending a, strictly descending b
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], point) <= 0:

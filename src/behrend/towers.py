@@ -48,7 +48,7 @@ from itertools import accumulate, compress, groupby, repeat
 from operator import itemgetter, le, lt, mul, sub
 from typing import NamedTuple
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, number_text
 from .ideals import MonomialIdeal, _exponents
 
 BRANCHES = ("x", "y")
@@ -384,7 +384,7 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     count = sum(len(runs) * (end - r) for r, end, runs in segments)
     if count > DIAGRAM_CAP:
         raise UnsupportedError(
-            f"the diagram has {count} nodes, above the diagram cap of {DIAGRAM_CAP}"
+            f"the diagram has {number_text(count)} nodes, above the diagram cap of {DIAGRAM_CAP}"
         )
     levels, members_of, parents = [], [], []
     factors: list[tuple[tuple[int, int], ...]] = [()] * count

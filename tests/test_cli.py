@@ -197,12 +197,11 @@ class TestCommands:
 
     def test_bounds_choices_are_the_verify_presets(self):
         # cli writes the preset names out so that parsing does not import verify
-        from behrend.cli import build_parser
+        from behrend.cli import CHOICES, COMMANDS
         from behrend.verify import PRESETS
 
-        commands = next(a for a in build_parser()._actions if a.dest == "command")
-        bounds = next(a for a in commands.choices["verify"]._actions if a.dest == "bounds")
-        assert list(bounds.choices) == sorted(PRESETS)
+        assert "--bounds" in COMMANDS["verify"][2]
+        assert list(CHOICES["--bounds"]) == sorted(PRESETS)
 
 
 # one case per JSON kind that no other test validates, with pinned values
@@ -287,6 +286,42 @@ class TestJsonKinds:
             "  FAIL nu/a [j]: expected 4, got 5",
             "total: 2 pass, 1 fail, 0 inconclusive",
         ]
+
+
+# argv, exit code, and the stream left empty: help goes to stdout, a refused
+# command line to stderr as a usage line and an error line
+COMMAND_LINES = [
+    (["--help"], 0, "err"),
+    (["nu", "--help"], 0, "err"),
+    (["frobnicate", "m"], 2, "out"),
+    (["nu"], 2, "out"),
+    (["length", "m^2", "--format=json"], 0, "err"),
+    (["length", "m^2", "--form", "json"], 0, "err"),
+    (["length", "m^2", "--format", "xml"], 2, "out"),
+    (["nu", "--svg", "p.svg", "m"], 2, "out"),
+    (["verify", "--seed", "x"], 2, "out"),
+    (["verify", "--bounds", "quick", "--seed", "3"], 0, "err"),
+    (["normal", "m^2"], 0, "err"),
+    (["nu", "-2"], 1, "out"),  # a negative number is an expression, not an option
+    (["normal?", "-2m^4"], 2, "out"),
+    (["normal?", "--", "-2m^4"], 1, "out"),
+]
+
+
+@pytest.mark.parametrize("argv,code,empty", COMMAND_LINES)
+def test_command_line_forms(capsys, monkeypatch, tmp_path, argv, code, empty):
+    monkeypatch.delenv("BEHREND_FORMAT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    try:
+        actual = main(argv)
+    except SystemExit as stop:  # help and refusals end the process
+        actual = stop.code
+    out, err = capsys.readouterr()
+    assert actual == code
+    assert {"out": out, "err": err}[empty] == "" and (out or err)
+    if code == 2:
+        assert err.startswith("usage: ") and "error: " in err.splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
 
 
 def over_the_cap(count):
@@ -391,16 +426,26 @@ class TestExitCodes:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
 
     @pytest.mark.parametrize("command,expr,code,start", [
-        ("ferrers", "(x^{0}, y^{0})", 3, "unsupported: the staircase grid has 9"),
-        ("length", "(x^{})^10", 2, "domain error: MonomialIdeal([(9"),
-        ("dynkin", "tower(x; g=y; exps=[2, 3])^{}", 3, "unsupported: the product has 1"),
+        ("ferrers", "(x^{0}, y^{0})", 3,
+         "unsupported: the staircase grid has <8600 digits> cells"),
+        ("length", "(x^{})^10", 2, "domain error: MonomialIdeal([(<4301 digits>, 0)])"),
+        ("dynkin", "tower(x; g=y; exps=[2, 3])^{}", 3,
+         "unsupported: the product has <4301 digits> tower factors"),
+        ("nu", "tower(x; g=y; exps=[1, {}])", 3,
+         "unsupported: the diagram has <4300 digits> nodes"),
+        ("nu", "tower(x; g=y^{}; exps=[1, 2])", 3,
+         "unsupported: the tangent has degree <4300 digits>"),
+        ("nu", "(x^{0}, x y^{0})", 2,
+         "domain error: MonomialIdeal([(1, <4300 digits>), (<4300 digits>, 0)])"),
         ("fan", "n({0},1) * n(1,{0})", 0, ""),
         ("factor", "n({0},{0})^{0}", 0, ""),
     ])
     def test_long_numbers_formed_while_computing(self, capsys, command, expr, code, start):
-        # messages and labels of more digits than any literal, formed before printing
+        # messages and labels of more digits than any literal, formed before printing;
+        # a message names such a number by its digit count
         actual, out, err = run(capsys, command, expr.format("9" * 4300))
         assert actual == code and err.startswith(start) and len(err.splitlines()) <= 1
+        assert len(err) < 300
         assert (out == "") == bool(code)
 
 

@@ -289,7 +289,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 # modules a command must not import unless its command or input uses them
-WATCHED = ("behrend.verify", "behrend.render", "behrend.towers", "json")
+WATCHED = ("behrend.verify", "behrend.render", "behrend.towers", "json", "argparse", "fractions")
 
 
 @pytest.mark.parametrize(
@@ -297,7 +297,7 @@ WATCHED = ("behrend.verify", "behrend.render", "behrend.towers", "json")
     [
         (("nu", "(x^2,y^3)"), []),
         (("length", "m^4"), []),
-        (("nu", "tower(x; g=y; exps=[1, 3])"), ["behrend.towers"]),
+        (("nu", "tower(x; g=y; exps=[1, 3])"), ["behrend.towers", "fractions"]),
         (("fan", "(x^2, x y^2, y^3)"), ["behrend.render"]),
         (("length", "(x^2,y^3)", "--format", "json"), ["json"]),
     ],
