@@ -309,6 +309,19 @@ class TestPrinting:
         t = make_tower("y", (), (1, 2, 3))
         assert tower_text(t) == "tower(y; g = 0; exps = [1, 2, 3])"
 
+    @pytest.mark.parametrize("n,text", [
+        (10**30 - 1, "9" * 30),
+        (-(10**30) + 1, "-" + "9" * 30),
+        (10**30, "<31 digits>"),
+        (-(10**40), "<41 digits>"),
+        (10**4300 - 1, "<4300 digits>"),
+        (2**100000, "<30103 digits>"),
+    ], ids=["30 nines", "minus 30 nines", "10^30", "-10^40", "4300 nines", "2^100000"])
+    def test_messages_name_a_long_number_by_its_digit_count(self, n, text):
+        from behrend.errors import number_text
+
+        assert number_text(n) == text
+
 
 class TestRoundTrips:
     def test_ideal_roundtrip(self):
