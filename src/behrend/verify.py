@@ -5,61 +5,69 @@ route: staircase counts against length formulas, the Newton-polygon Behrend
 number against the tower diagram engine, the polygon integral closure
 against the definitional power membership test.  The library computes each
 quantity once; the second routes live here, together with the closed forms
-and oracles that only these checks call:
+and oracles that only these checks call.  The families, in table order:
 
-  nu/tower-min-sum           tower_nu against sum_{k,l} min(i_k, i_l)
-  nu/complete-intersection   nu_lci against the edge formula
-  nu/power-rule              d * nu(I) (nu_power_rule) against nu(I^d)
-  length/m-power, nu/m-power tower_times_m_power against the expansion
-  length/cross-pair          two_tower_length against the staircase
+  length/complete-tower      tower_length against the staircase count
+  length/cross-pair          two_tower_length against the staircase count
+  length/equal-cross-closed-form
+                             h(h+1)(h+2)/3 + h^2 against the same count
+  length/pick                Pick's count of the polygon (closure_colength)
+                             against the staircase of the closure
   nu/dual-engine             the diagram engine against the polygon engine
                              on random monomial tower products
-  nu/diagram-consistency     the diagram engine against the polygon engine,
-                             the single-tower form (by the shear onto the
-                             monomial model) or two_tower_nu
-  nu/pair-agreement          product_nu against two_tower_nu
   nu/contraction-degrees     the diagram engine against pairwise_meet_nu
                              (meet levels of factor pairs), for the products
-                             no other route covers
-  length/hoskin-deligne      the diagram's length (DynkinDiagram.length) on
-                             every product that nu/dual-engine,
-                             nu/diagram-consistency or nu/contraction-degrees
-                             checks, against the staircase of the monomial
-                             expansion, tower_length, two_tower_length for a
-                             complete cross pair, or else
-                             pairwise_meet_length (mixed multiplicities)
+                             no closed form covers
+  length/hoskin-deligne      the diagram's length on every product drawn for
+                             the diagram engine, against the staircase of
+                             the monomial expansion, tower_length,
+                             two_tower_length for a complete cross pair, or
+                             else pairwise_meet_length (mixed multiplicities)
+  nu/power-rule              d * nu(I) (nu_power_rule) against nu(I^d)
+  nu/equal-degree-pair       gcd(h, k) (h + k) against nu_monomial
+  nu/normalized-intersection lcm(a, b) against nu_monomial of n(a, b)
+  nu/tower-min-sum           tower_nu against sum_{k,l} min(i_k, i_l)
+  nu/complete-intersection   nu_lci against nu_monomial
+  nu/diagram-consistency     the diagram engine against the polygon engine,
+                             the single-tower form (by the shear onto the
+                             monomial model) or two_tower_nu, on products
+                             with rational tangents and on complete
+                             non-monomial pairs, drawn so that the two-tower
+                             route runs on every seed
+  nu/pair-agreement          product_nu against two_tower_nu
+  length/m-power, nu/m-power tower_times_m_power against the staircase count
+                             and nu_monomial of the expansion K * m^n
+  closure/definitional       integral_closure against integral_closure_oracle
+  closure/normal-fixed-point integral_closure against the normal ideal itself
+  closure/normal-staircase-conditions
+                             staircase_conditions against normality
+  closure/normal-routes      is_normal (Pick's count) against the closure
   nu/normal-product, factor/normal-product, closure/normal-product
                              the polygon route of expr.Elaborated (nu_normal,
                              polygon_factors, polygon_closure of the summed
                              polygon) against nu_monomial, factor_normal and
                              integral_closure of the multiplied-out product,
                              on random products of powers of normal atoms
-  closure/definitional       integral_closure against integral_closure_oracle
-  closure/normal-staircase-conditions
-                             staircase_conditions on every normal ideal drawn
 
-The other families compare library routes with each other or with a
-textbook closed form, such as lcm(a, b) for nu of n(a, b).
-
-Instances are generated from a seeded generator so failures reproduce;
-results are reported sorted by (name, instance).  Each distinct instance is
-checked once per call: a check function that draws an instance again
-reports the results of its first check once more, so every draw keeps its
-line.  Nothing is kept from one call to the next.  Every check is decisive
-("pass" or "fail"): the definitional closure oracle's bound p <= min(a0, b0)
-is proven (see integral_closure_oracle).  The oracle walks the staircase of
-the box [0, a0] x [0, b0], testing each step against up to min(a0, b0)
-powers of I, so it is a test oracle only; the library's closure walks the
-polygon.  Complete non-monomial tower pairs get draws of their own, so the
-two-tower route runs on every seed.
+BLOCKS is that table.  A block is one family's instances, fixed or drawn
+from one seeded generator, and the check that returns one instance's
+results.  The walker draws a block's instances, then checks each distinct
+instance once through a cache it makes for the block, so a repeated draw
+reports its first results again.  Nothing is kept from one call to the next.
+Every check is decisive ("pass" or "fail"): the definitional closure
+oracle's bound p <= min(a0, b0) is proven (see integral_closure_oracle).
+The oracle walks the staircase of the box [0, a0] x [0, b0], testing each
+step against up to min(a0, b0) powers of I, so it is a test oracle only;
+the library's closure walks the polygon.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, partial
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 from operator import lt
 from typing import NamedTuple
@@ -378,117 +386,104 @@ def _random_tangent(rng: random.Random, height: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(degree))
 
 
-def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """Closed-form lengths against brute-force staircase counts.
+def random_normal_product(rng: random.Random, bounds: Bounds) -> str:
+    """Text of a product of one to three powers, d <= POWER_MAX, of normal
+    atoms: n(a, b) with a, b <= nab_max, m, monomial towers and normal
+    generator lists."""
+    factors = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            atom = f"n({rng.randint(1, bounds.nab_max)},{rng.randint(1, bounds.nab_max)})"
+        elif kind == 1:
+            atom = "m"
+        elif kind == 2:
+            exps = sorted(rng.sample(range(1, TOWER_EXPONENT_MAX + 1), rng.randint(1, 3)))
+            atom = tower_text(make_tower(rng.choice(BRANCHES), (), exps))
+        else:
+            atom = ideal_text(random_normal_ideal(rng, RANDOM_BOX))
+        d = rng.randint(1, POWER_MAX)
+        factors.append(atom if d == 1 else f"{atom}^{d}")
+    return " * ".join(factors)
 
-    length/pick counts the closure two ways: the staircase rectangles of the
-    edge-walked closure, and Pick's lattice count of the polygon.
+
+def _factor_depths(product: TowerProduct):
+    """The factors (i, k), tower and exponent, of a product, and the
+    agreement depths a_ij of its towers: difference_order on one branch, 1
+    across branches, unbounded for i = j.  Factors (i, k) and (j, l) meet at
+    level min(k, l, a_ij)."""
+    towers = product.towers
+    depth = [
+        [
+            float("inf") if i == j else difference_order(s, t) if s.branch == t.branch else 1
+            for j, t in enumerate(towers)
+        ]
+        for i, s in enumerate(towers)
+    ]
+    factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
+    return factors, depth
+
+
+def pairwise_meet_nu(product: TowerProduct, meets=None) -> int:
+    """nu of a tower product by the contribution rule, without the diagram.
+
+    Two factors sit on one curve when they meet at their common exponent,
+    k == l <= a_ij; nu sums each curve's meet levels with every factor.
+    meets is _factor_depths(product), if the caller has it.
     """
-    results = []
-    for s in range(1, COMPLETE_TOWER_MAX + 1):
-        tower = make_tower("x", (), range(1, s + 1))
+    factors, depth = meets or _factor_depths(product)
+    curves: list[tuple[int, int]] = []
+    for i, k in factors:
+        if not any(l == k <= depth[i][j] for j, l in curves):
+            curves.append((i, k))
+    return sum(min(k, l, depth[i][j]) for i, k in curves for j, l in factors)
+
+
+def pairwise_meet_length(product: TowerProduct, meets=None) -> int:
+    """Length of a tower product from the mixed multiplicities of its
+    curvilinear factors, without the diagram.
+
+    For complete ideals l(IJ) = l(I) + l(J) + e(I|J) (Huneke-Swanson,
+    Integral Closure of Ideals, Rings, and Modules, ch. 14).  The factor
+    (f) + m^k has length k, and two factors share as many base points, each
+    of weight 1, as the level at which they meet, so
+    l = sum of k + sum over factor pairs of min(k, l, a_ij).  meets is
+    _factor_depths(product), if the caller has it.
+    """
+    factors, depth = meets or _factor_depths(product)
+    pairs = combinations(factors, 2)
+    return sum(k for _, k in factors) + sum(min(k, l, depth[i][j]) for (i, k), (j, l) in pairs)
+
+
+# -- checks: each returns the results of one instance and draws nothing --------
+
+
+def _complete_tower_results(s: int) -> list[CheckResult]:
+    tower = make_tower("x", (), range(1, s + 1))
+    expected = tower.ideal().colength()
+    return [CheckResult.compare("length/complete-tower", f"s={s}", expected, tower_length(tower))]
+
+
+def _cross_pair_results(heights: tuple[int, int]) -> list[CheckResult]:
+    """The staircase of a monomial cross pair against two_tower_length and,
+    at equal heights h, against h(h+1)(h+2)/3 + h^2."""
+    hx, hy = heights
+    kx = make_tower("x", (), range(1, hx + 1))
+    ky = make_tower("y", (), range(1, hy + 1))
+    expected = (kx.ideal() * ky.ideal()).colength()
+    actual = two_tower_length(kx, ky)
+    results = [CheckResult.compare("length/cross-pair", f"hx={hx} hy={hy}", expected, actual)]
+    if hx == hy:
+        closed = hx * (hx + 1) * (hx + 2) // 3 + hx * hx
         results.append(
-            CheckResult.compare(
-                "length/complete-tower",
-                f"s={s}",
-                tower.ideal().colength(),
-                tower_length(tower),
-            )
+            CheckResult.compare("length/equal-cross-closed-form", f"h={hx}", expected, closed)
         )
-    for hx in range(1, CROSS_HEIGHT_MAX + 1):
-        for hy in range(1, CROSS_HEIGHT_MAX + 1):
-            kx = make_tower("x", (), range(1, hx + 1))
-            ky = make_tower("y", (), range(1, hy + 1))
-            expected = (kx.ideal() * ky.ideal()).colength()
-            results.append(
-                CheckResult.compare(
-                    "length/cross-pair",
-                    f"hx={hx} hy={hy}",
-                    expected,
-                    two_tower_length(kx, ky),
-                )
-            )
-            if hx == hy:
-                closed = hx * (hx + 1) * (hx + 2) // 3 + hx * hx
-                results.append(
-                    CheckResult.compare(
-                        "length/equal-cross-closed-form", f"h={hx}", expected, closed
-                    )
-                )
-    pick = cache(_pick_result)
-    results += [pick(random_normal_ideal(rng, RANDOM_BOX)) for _ in range(bounds.normal_ideals)]
     return results
 
 
-def _pick_result(ideal: MonomialIdeal) -> CheckResult:
-    return CheckResult.compare(
-        "length/pick", ideal_text(ideal), ideal.colength(), closure_colength(ideal)
-    )
-
-
-def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """The Newton-polygon Behrend number against every independent route."""
-    results = []
-    diagram = cache(_diagram_results)
-    for _ in range(bounds.tower_products):
-        results += diagram(random_tower_product(rng, 4, False), "nu/dual-engine")
-    power_rule = cache(_power_rule_result)
-    for _ in range(bounds.power_ideals):
-        ideal = random_ideal(rng, RANDOM_BOX)
-        results.append(power_rule(ideal, rng.randint(1, POWER_MAX)))
-    for h in range(1, bounds.balanced_pair_max + 1):
-        for k in range(1, bounds.balanced_pair_max + 1):
-            ideal = complete_intersection(h, h) * complete_intersection(k, k)
-            results.append(
-                CheckResult.compare(
-                    "nu/equal-degree-pair",
-                    f"h={h} k={k}",
-                    gcd(h, k) * (h + k),
-                    nu_monomial(ideal).nu,
-                )
-            )
-    for alpha in range(1, bounds.nab_max + 1):
-        for beta in range(1, bounds.nab_max + 1):
-            results.append(
-                CheckResult.compare(
-                    "nu/normalized-intersection",
-                    f"n({alpha},{beta})",
-                    alpha * beta // gcd(alpha, beta),
-                    nu_monomial(n_ab(alpha, beta)).nu,
-                )
-            )
-    exponents = range(1, TOWER_EXPONENT_MAX + 1)
-    for exps in (s for size in exponents for s in combinations(exponents, size)):
-        results.append(
-            CheckResult.compare(
-                "nu/tower-min-sum",
-                f"exps={list(exps)}",
-                sum(min(a, b) for a in exps for b in exps),
-                tower_nu(make_tower("x", (), exps)),
-            )
-        )
-    for a in range(1, bounds.nab_max + 1):
-        for b in range(1, bounds.nab_max + 1):
-            results.append(
-                CheckResult.compare(
-                    "nu/complete-intersection",
-                    f"a={a} b={b}",
-                    nu_lci(a, b),
-                    nu_monomial(complete_intersection(a, b)).nu,
-                )
-            )
-    for _ in range(bounds.tangent_products):
-        results += diagram(random_tower_product(rng, 3, True), "nu/diagram-consistency")
-    results.extend(check_pair_agreement(bounds))
-    results.extend(check_m_power())
-    return results
-
-
-def _power_rule_result(ideal: MonomialIdeal, d: int) -> CheckResult:
-    instance = f"{ideal_text(ideal)} ^ {d}"
-    return CheckResult.compare(
-        "nu/power-rule", instance, nu_power_rule(ideal, d), nu_monomial(ideal**d).nu
-    )
+def _pick_results(ideal: MonomialIdeal) -> list[CheckResult]:
+    text = ideal_text(ideal)
+    return [CheckResult.compare("length/pick", text, ideal.colength(), closure_colength(ideal))]
 
 
 def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
@@ -528,176 +523,84 @@ def _diagram_results(product: TowerProduct, family: str) -> list[CheckResult]:
             pass
         if towers[0].branch != towers[1].branch:
             length = two_tower_length(*towers)
+    meets = _factor_depths(product) if nu is None or length is None else None
     if nu is None:
-        family, nu = "nu/contraction-degrees", pairwise_meet_nu(product)
+        family, nu = "nu/contraction-degrees", pairwise_meet_nu(product, meets)
     if length is None:
-        length = pairwise_meet_length(product)
+        length = pairwise_meet_length(product, meets)
     return [
         CheckResult.compare(family, text, nu, summary.nu),
         CheckResult.compare("length/hoskin-deligne", text, length, summary.length),
     ]
 
 
-def _factor_depths(product: TowerProduct):
-    """The factors (i, k), tower and exponent, of a product, and the
-    agreement depths a_ij of its towers: difference_order on one branch, 1
-    across branches, unbounded for i = j.  Factors (i, k) and (j, l) meet at
-    level min(k, l, a_ij)."""
-    towers = product.towers
-    depth = [
-        [
-            float("inf") if i == j else difference_order(s, t) if s.branch == t.branch else 1
-            for j, t in enumerate(towers)
-        ]
-        for i, s in enumerate(towers)
-    ]
-    factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
-    return factors, depth
+def _power_rule_results(drawn: tuple[MonomialIdeal, int]) -> list[CheckResult]:
+    ideal, d = drawn
+    instance = f"{ideal_text(ideal)} ^ {d}"
+    expected = nu_power_rule(ideal, d)
+    return [CheckResult.compare("nu/power-rule", instance, expected, nu_monomial(ideal**d).nu)]
 
 
-def pairwise_meet_nu(product: TowerProduct) -> int:
-    """nu of a tower product by the contribution rule, without the diagram.
-
-    Two factors sit on one curve when they meet at their common exponent,
-    k == l <= a_ij; nu sums each curve's meet levels with every factor.
-    """
-    factors, depth = _factor_depths(product)
-    curves: list[tuple[int, int]] = []
-    for i, k in factors:
-        if not any(l == k <= depth[i][j] for j, l in curves):
-            curves.append((i, k))
-    return sum(min(k, l, depth[i][j]) for i, k in curves for j, l in factors)
+def _equal_degree_results(degrees: tuple[int, int]) -> list[CheckResult]:
+    h, k = degrees
+    actual = nu_monomial(complete_intersection(h, h) * complete_intersection(k, k)).nu
+    expected = gcd(h, k) * (h + k)
+    return [CheckResult.compare("nu/equal-degree-pair", f"h={h} k={k}", expected, actual)]
 
 
-def pairwise_meet_length(product: TowerProduct) -> int:
-    """Length of a tower product from the mixed multiplicities of its
-    curvilinear factors, without the diagram.
-
-    For complete ideals l(IJ) = l(I) + l(J) + e(I|J) (Huneke-Swanson,
-    Integral Closure of Ideals, Rings, and Modules, ch. 14).  The factor
-    (f) + m^k has length k, and two factors share as many base points, each
-    of weight 1, as the level at which they meet, so
-    l = sum of k + sum over factor pairs of min(k, l, a_ij).
-    """
-    factors, depth = _factor_depths(product)
-    pairs = combinations(factors, 2)
-    return sum(k for _, k in factors) + sum(min(k, l, depth[i][j]) for (i, k), (j, l) in pairs)
+def _normalized_intersection_results(exponents: tuple[int, int]) -> list[CheckResult]:
+    alpha, beta = exponents
+    lcm = alpha * beta // gcd(alpha, beta)
+    actual = nu_monomial(n_ab(alpha, beta)).nu
+    return [CheckResult.compare("nu/normalized-intersection", f"n({alpha},{beta})", lcm, actual)]
 
 
-def random_normal_product(rng: random.Random, bounds: Bounds) -> str:
-    """Text of a product of one to three powers, d <= POWER_MAX, of normal
-    atoms: n(a, b) with a, b <= nab_max, m, monomial towers and normal
-    generator lists."""
-    factors = []
-    for _ in range(rng.randint(1, 3)):
-        kind = rng.randrange(4)
-        if kind == 0:
-            atom = f"n({rng.randint(1, bounds.nab_max)},{rng.randint(1, bounds.nab_max)})"
-        elif kind == 1:
-            atom = "m"
-        elif kind == 2:
-            exps = sorted(rng.sample(range(1, TOWER_EXPONENT_MAX + 1), rng.randint(1, 3)))
-            atom = tower_text(make_tower(rng.choice(BRANCHES), (), exps))
-        else:
-            atom = ideal_text(random_normal_ideal(rng, RANDOM_BOX))
-        d = rng.randint(1, POWER_MAX)
-        factors.append(atom if d == 1 else f"{atom}^{d}")
-    return " * ".join(factors)
+def _min_sum_results(exps: tuple[int, ...]) -> list[CheckResult]:
+    expected = sum(min(a, b) for a in exps for b in exps)
+    actual = tower_nu(make_tower("x", (), exps))
+    return [CheckResult.compare("nu/tower-min-sum", f"exps={list(exps)}", expected, actual)]
 
 
-def check_normal_products(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """The polygon route of expr.Elaborated against the multiplied-out product:
-    the nu report (d, length and normality included), the factorization and
-    the closure.  It reads polygon(), since nu() reads a lone list directly."""
-    results = []
-    product = cache(_normal_product_results)
-    for _ in range(bounds.normal_products):
-        results += product(random_normal_product(rng, bounds))
-    return results
+def _complete_intersection_results(exponents: tuple[int, int]) -> list[CheckResult]:
+    a, b = exponents
+    actual = nu_monomial(complete_intersection(a, b)).nu
+    return [CheckResult.compare("nu/complete-intersection", f"a={a} b={b}", nu_lci(a, b), actual)]
 
 
-def _normal_product_results(text: str) -> list[CheckResult]:
-    elaborated = parse(text)
-    polygon = elaborated.polygon()  # the sum, lone lists included
-    ideal = elaborated.require_ideal()
+def _pair_agreement_results(heights: tuple[int, int]) -> list[CheckResult]:
+    """Diagram engine against the two-tower closed form: the x-tower of
+    height h1 with the y-tower of height h2, and with the x-tower of height
+    h2 whose tangent agrees with it to each admissible depth d."""
+    h1, h2 = heights
+    k1 = make_tower("x", (), range(1, h1 + 1))
+    partners = {"cross": make_tower("y", (), range(1, h2 + 1))}
+    for d in range(1, min(h1, h2 - 1) + 1):  # the tangent degree must stay below the height
+        partners[f"d={d}"] = make_tower("x", (0,) * (d - 1) + (1,), range(1, h2 + 1))
     return [
-        CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),
-        CheckResult.compare(
-            "factor/normal-product", text, factor_normal(ideal), polygon_factors(polygon)
-        ),
-        CheckResult.compare(
-            "closure/normal-product", text, integral_closure(ideal), polygon_closure(polygon)
-        ),
+        CheckResult.compare("nu/pair-agreement", f"h1={h1} h2={h2} {label}", two_tower_nu(k1, k2),
+                            product_nu(TowerProduct([k1, k2])).nu)
+        for label, k2 in partners.items()
     ]
 
 
-def check_m_power() -> list[CheckResult]:
+def _m_power_results(drawn: tuple[tuple[int, ...], int]) -> list[CheckResult]:
     """tower_times_m_power against the staircase count and the edge formula
     on the expanded ideal K * m^n."""
-    results = []
-    for exps in (s for size in (1, 2, 3) for s in combinations(range(2, 6), size)):
-        tower = make_tower("x", (), exps)
-        for n in range(4):
-            expanded = tower.ideal() * MAXIMAL_IDEAL**n
-            length, nu = tower_times_m_power(tower, n)
-            instance = f"{tower_text(tower)} * m^{n}"
-            results.append(
-                CheckResult.compare("length/m-power", instance, expanded.colength(), length)
-            )
-            results.append(
-                CheckResult.compare("nu/m-power", instance, nu_monomial(expanded).nu, nu)
-            )
-    return results
+    exps, n = drawn
+    tower = make_tower("x", (), exps)
+    expanded = tower.ideal() * MAXIMAL_IDEAL**n
+    length, nu = tower_times_m_power(tower, n)
+    instance = f"{tower_text(tower)} * m^{n}"
+    return [
+        CheckResult.compare("length/m-power", instance, expanded.colength(), length),
+        CheckResult.compare("nu/m-power", instance, nu_monomial(expanded).nu, nu),
+    ]
 
 
-def check_pair_agreement(bounds: Bounds) -> list[CheckResult]:
-    """Diagram engine against the two-tower closed form, all admissible depths."""
-    results = []
-    for h1 in range(1, bounds.pair_height_max + 1):
-        for h2 in range(h1, bounds.pair_height_max + 1):
-            k1 = make_tower("x", (), range(1, h1 + 1))
-            ky = make_tower("y", (), range(1, h2 + 1))
-            results.append(
-                CheckResult.compare(
-                    "nu/pair-agreement",
-                    f"h1={h1} h2={h2} cross",
-                    two_tower_nu(k1, ky),
-                    product_nu(TowerProduct([k1, ky])).nu,
-                )
-            )
-            for d in range(1, min(h1, h2) + 1):
-                if d >= h2:  # the tangent degree must stay below the height
-                    continue
-                tangent = (0,) * (d - 1) + (1,)
-                k2 = make_tower("x", tangent, range(1, h2 + 1))
-                results.append(
-                    CheckResult.compare(
-                        "nu/pair-agreement",
-                        f"h1={h1} h2={h2} d={d}",
-                        two_tower_nu(k1, k2),
-                        product_nu(TowerProduct([k1, k2])).nu,
-                    )
-                )
-    return results
-
-
-def check_closure(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
-    """Polygon closure against the definitional power test, plus normality checks.
-
-    closure/normal-routes compares the Pick-count normality test with the
-    closure built and compared generator by generator.
-    """
-    seeds = [complete_intersection(a, b) for a, b in ((2, 2), (2, 3), (5, 5))]
-    drawn = [random_ideal(rng, RANDOM_BOX) for _ in range(bounds.closure_ideals)]
-    closure = cache(_closure_result)
-    results = [closure(ideal) for ideal in seeds + drawn]
-    normal = cache(_normal_results)
-    for _ in range(bounds.normal_ideals):
-        results += normal(random_normal_ideal(rng, RANDOM_BOX))
-    routes = cache(_normal_routes_results)
-    for _ in range(bounds.normal_ideals):
-        results += routes(random_ideal(rng, STAIRCASE_BOX))
-    return results
+def _closure_results(ideal: MonomialIdeal) -> list[CheckResult]:
+    """The polygon closure against the definitional oracle."""
+    expected, actual = integral_closure(ideal), integral_closure_oracle(ideal)
+    return [CheckResult.compare("closure/definitional", ideal_text(ideal), expected, actual)]
 
 
 def _staircase_result(ideal: MonomialIdeal) -> CheckResult:
@@ -708,10 +611,8 @@ def _staircase_result(ideal: MonomialIdeal) -> CheckResult:
 
 def _normal_results(ideal: MonomialIdeal) -> list[CheckResult]:
     """A normal ideal is its own closure and passes the staircase conditions."""
-    text = ideal_text(ideal)
-    fixed_point = CheckResult.compare(
-        "closure/normal-fixed-point", text, ideal, integral_closure(ideal)
-    )
+    text, closure = ideal_text(ideal), integral_closure(ideal)
+    fixed_point = CheckResult.compare("closure/normal-fixed-point", text, ideal, closure)
     return [fixed_point, _staircase_result(ideal)]
 
 
@@ -725,28 +626,121 @@ def _normal_routes_results(ideal: MonomialIdeal) -> list[CheckResult]:
     return [routes, _staircase_result(ideal)] if normal else [routes]
 
 
-def _closure_result(ideal: MonomialIdeal) -> CheckResult:
-    """The polygon closure against the definitional oracle."""
-    return CheckResult.compare(
-        "closure/definitional",
-        ideal_text(ideal),
-        integral_closure(ideal),
-        integral_closure_oracle(ideal),
-    )
+def _normal_product_results(text: str) -> list[CheckResult]:
+    """The polygon route of expr.Elaborated against the multiplied-out product:
+    the nu report (d, length and normality included), the factorization and
+    the closure.  It reads polygon(), since nu() reads a lone list directly."""
+    elaborated = parse(text)
+    polygon = elaborated.polygon()  # the sum, lone lists included
+    ideal = elaborated.require_ideal()
+    return [
+        CheckResult.compare("nu/normal-product", text, nu_monomial(ideal), nu_normal(polygon)),
+        CheckResult.compare("factor/normal-product", text, factor_normal(ideal),
+                            polygon_factors(polygon)),
+        CheckResult.compare("closure/normal-product", text, integral_closure(ideal),
+                            polygon_closure(polygon)),
+    ]
+
+
+# -- the table and its walker --------------------------------------------------
+
+
+def _draws(n: int, draw: Callable, rng: random.Random, *args) -> list:
+    """n instances draw(rng, *args), all drawn before any is checked."""
+    return [draw(rng, *args) for _ in range(n)]
+
+
+def _grid(n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)]
+
+
+def _subsets(items: range, max_size: int) -> list[tuple[int, ...]]:
+    return [s for size in range(1, max_size + 1) for s in combinations(items, size)]
+
+
+# closure/definitional checks these on every seed, before its draws
+CLOSURE_SEEDS = tuple(complete_intersection(a, b) for a, b in ((2, 2), (2, 3), (5, 5)))
+
+# Each block is (part, draw, check).  part names the walk that runs it: the
+# check_* walks length, nu and closure, or run_all's last.  draw(rng, bounds)
+# gives the family's instances; check(instance) gives one instance's results
+# and draws nothing.  In generator order: run_all walks the parts in this
+# order and each part's blocks from the top, so a block that draws changes
+# the instances of every drawing block below it.  The normal products come
+# last so that adding them left every earlier draw as it was.
+BLOCKS = (
+    ("length", lambda rng, b: range(1, COMPLETE_TOWER_MAX + 1), _complete_tower_results),
+    ("length", lambda rng, b: _grid(CROSS_HEIGHT_MAX), _cross_pair_results),
+    ("length", lambda rng, b: _draws(b.normal_ideals, random_normal_ideal, rng, RANDOM_BOX),
+     _pick_results),
+    ("nu", lambda rng, b: _draws(b.tower_products, random_tower_product, rng, 4, False),
+     partial(_diagram_results, family="nu/dual-engine")),
+    ("nu", lambda rng, b: [(random_ideal(rng, RANDOM_BOX), rng.randint(1, POWER_MAX))
+                           for _ in range(b.power_ideals)], _power_rule_results),
+    ("nu", lambda rng, b: _grid(b.balanced_pair_max), _equal_degree_results),
+    ("nu", lambda rng, b: _grid(b.nab_max), _normalized_intersection_results),
+    ("nu", lambda rng, b: _subsets(range(1, TOWER_EXPONENT_MAX + 1), TOWER_EXPONENT_MAX),
+     _min_sum_results),
+    ("nu", lambda rng, b: _grid(b.nab_max), _complete_intersection_results),
+    ("nu", lambda rng, b: _draws(b.tangent_products, random_tower_product, rng, 3, True),
+     partial(_diagram_results, family="nu/diagram-consistency")),
+    ("nu", lambda rng, b: combinations_with_replacement(range(1, b.pair_height_max + 1), 2),
+     _pair_agreement_results),
+    ("nu", lambda rng, b: [(exps, n) for exps in _subsets(range(2, 6), 3) for n in range(4)],
+     _m_power_results),
+    ("closure",
+     lambda rng, b: [*CLOSURE_SEEDS, *_draws(b.closure_ideals, random_ideal, rng, RANDOM_BOX)],
+     _closure_results),
+    ("closure", lambda rng, b: _draws(b.normal_ideals, random_normal_ideal, rng, RANDOM_BOX),
+     _normal_results),
+    ("closure", lambda rng, b: _draws(b.normal_ideals, random_ideal, rng, STAIRCASE_BOX),
+     _normal_routes_results),
+    ("last", lambda rng, b: _draws(b.tangent_products // 5, random_complete_pair, rng),
+     partial(_diagram_results, family="nu/diagram-consistency")),
+    ("last", lambda rng, b: _draws(b.normal_products, random_normal_product, rng, b),
+     _normal_product_results),
+)
+
+
+def _walk(part: str, rng: random.Random, bounds: Bounds) -> list[CheckResult]:
+    """The results of part's blocks, in table order.  Each block draws all
+    its instances, then checks each distinct one once through a cache made
+    for the block; a repeated draw reports its first results again."""
+    results = []
+    for block_part, draw, check in BLOCKS:
+        if block_part == part:
+            instances = draw(rng, bounds)
+            checked = cache(check)
+            for instance in instances:
+                results += checked(instance)
+    return results
+
+
+def check_length_forms(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
+    """Closed-form lengths and Pick's count against staircase counts."""
+    return _walk("length", rng, bounds)
+
+
+def check_nu_cross(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
+    """The Newton-polygon Behrend number against every independent route."""
+    return _walk("nu", rng, bounds)
+
+
+def check_closure(rng: random.Random, bounds: Bounds) -> list[CheckResult]:
+    """Polygon closure against the definitional power test, plus normality checks."""
+    return _walk("closure", rng, bounds)
 
 
 def run_all(seed: int = 0, bounds: Bounds | None = None) -> list[CheckResult]:
-    """Run every check with one seeded generator; results sorted by (name, instance)."""
+    """Walk the whole table with one seeded generator; results sorted by
+    (name, instance).  The first three parts run through their module-level
+    names, which perfbench/layers.py times."""
     bounds = bounds or PRESETS["default"]
     rng = random.Random(seed)
-    results = []
-    results.extend(check_length_forms(rng, bounds))
-    results.extend(check_nu_cross(rng, bounds))
-    results.extend(check_closure(rng, bounds))
-    diagram = cache(_diagram_results)
-    for _ in range(bounds.tangent_products // 5):
-        results += diagram(random_complete_pair(rng), "nu/diagram-consistency")
-    results.extend(check_normal_products(rng, bounds))  # last: earlier draws stay as they were
+    results = check_length_forms(rng, bounds)
+    results += check_nu_cross(rng, bounds)
+    results += check_closure(rng, bounds)
+    results += _walk("last", rng, bounds)
     return sorted(results, key=lambda r: (r.name, r.instance))
 
 

@@ -33,7 +33,7 @@ from behrend import (
 from behrend.newton import closure_colength
 from behrend.verify import (
     PRESETS,
-    check_pair_agreement,
+    check_nu_cross,
     random_ideal,
     random_normal_ideal,
     random_tower_product,
@@ -214,7 +214,8 @@ def test_c2_staircase_conditions():
 
 def test_c2_pair_agreement():
     with criterion("2. product_nu vs two_tower_nu for all pairs h1,h2 <= 8, all admissible d"):
-        results = check_pair_agreement(PRESETS["default"])
+        nu_cross = check_nu_cross(random.Random(0), PRESETS["default"])
+        results = [r for r in nu_cross if r.name == "nu/pair-agreement"]
         assert all(r.status == "pass" for r in results)
         assert any("d=2" in r.instance for r in results)
 

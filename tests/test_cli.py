@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -194,6 +195,13 @@ class TestCommands:
         payload = run_json(capsys, "verify", "--seed", "2", "--bounds", "quick")
         assert payload["counts"]["fail"] == 0
         assert all(r["status"] != "fail" for r in payload["results"])
+
+    def test_verify_default_json_is_pinned(self, capsys):
+        # the whole stdout: the envelope, str() of each value and the counts
+        code, out, _ = run(capsys, "verify", "--format", "json", "--seed", "0")
+        assert code == 0
+        digest = "f17f0d781234a400a89a11a22adc4c129280eabdeebd5221416e3b706e2996f5"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bounds_choices_are_the_verify_presets(self):
         # cli writes the preset names out so that parsing does not import verify
@@ -575,6 +583,8 @@ class TestLibraryAnswersAsPrinted:
             assert parse(text).nu().nu == nu == printed["nu"]
 
 
+# the commands that read an expression, which the fuzz cases run
+FUZZ_COMMANDS = ("length", "nu", "normalize", "normal?", "factor", "fan", "ferrers", "dynkin")
 # the grammar's alphabet as tokens, plus the out-of-scope variable z and two
 # non-ASCII characters that str.isdigit and str.isalpha accept
 GRAMMAR_TOKENS = (
@@ -624,12 +634,7 @@ def mutated(rng, text):
 
 
 class TestFuzz:
-    @given(
-        st.sampled_from(
-            ("length", "nu", "normalize", "normal?", "factor", "fan", "ferrers", "dynkin")
-        ),
-        st.randoms(use_true_random=False),
-    )
+    @given(st.sampled_from(FUZZ_COMMANDS), st.randoms(use_true_random=False))
     @settings(max_examples=200)
     def test_arbitrary_text_exits_with_a_code(self, command, rng):
         if rng.random() < 0.5:

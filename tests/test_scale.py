@@ -8,6 +8,7 @@ over every tangent prefix, fails cleanly instead of hanging the suite.
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_cli import FUZZ_COMMANDS, mutated, valid_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WIDE = "(x^100000000, y^3)"
@@ -328,3 +330,14 @@ def test_star_import_and_dir_list_every_public_name():
         "print(len(public), set(names) - {'__builtins__'} == public, public <= listed)"
     )
     assert python(code).strip() == "52 True True"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_generated_text_in_a_process_exits_with_a_code(seed):
+    # test_cli.py's fuzz texts through a real interpreter and its argv:
+    # valid texts at odd seeds, mutated ones at even seeds
+    rng = random.Random(seed)
+    command = rng.choice(FUZZ_COMMANDS)
+    text = valid_text(rng) if seed % 2 else mutated(rng, valid_text(rng))
+    done = child(command, "--", text)
+    assert done.returncode in (0, 1, 2, 3) and "Traceback" not in done.stderr, text
