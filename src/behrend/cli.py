@@ -30,11 +30,11 @@ from .errors import DomainError, ParseError, UnsupportedError, number_text
 from .expr import UnlimitedIntDigits, factors_text, ideal_text, parse
 from .newton import closure_size, polygon_closure
 from .normal_factor import factors_fan
+from .nu import BehrendReport
 
 if TYPE_CHECKING:
     from .ideals import MonomialIdeal
     from .normal_factor import Fan
-    from .nu import BehrendReport
     from .towers import TowerNuSummary
 
 # A process imports only what its command and input use: verify, render,
@@ -171,7 +171,7 @@ def _run_command(args) -> int:
 
     if args.command == "nu":
         report = elaborated.nu()
-        if elaborated.is_monomial:
+        if isinstance(report, BehrendReport):
             print(_envelope("nu", report_json(report)) if as_json else _report_text(report))
         else:
             print(_envelope("nu", dynkin_json(report)) if as_json else _summary_text(report))

@@ -195,7 +195,9 @@ class Elaborated(NamedTuple):
 
     def require_ideal(self) -> MonomialIdeal:
         """The product multiplied out, refused when a bound on its generator
-        count exceeds EXPANSION_CAP."""
+        count exceeds EXPANSION_CAP.  A lone list is returned as written; a
+        product with a factor (d >= 1) lacking finite colength lacks it too,
+        and is refused first, naming that factor alone."""
         if not self.is_monomial:
             raise UnsupportedError(
                 "this expression contains a non-monomial tower and does not "
@@ -203,12 +205,16 @@ class Elaborated(NamedTuple):
             )
         bases = [(atom if isinstance(atom, (MonomialIdeal, NabFactor)) else atom.ideal(), d)
                  for atom, d in self.terms]
-        if sum(d for _, d in bases) > 1 and _generator_bound(bases) > EXPANSION_CAP:
-            raise UnsupportedError(
-                f"multiplying this product out could exceed the expansion cap of "
-                f"{EXPANSION_CAP} generators; only products of normal atoms are "
-                "answered without it"
-            )
+        if sum(d for _, d in bases) > 1:
+            for atom, d in self.terms:
+                if d and isinstance(atom, MonomialIdeal) and not atom.is_finite_colength:
+                    atom.require_fat_point()
+            if _generator_bound(bases) > EXPANSION_CAP:
+                raise UnsupportedError(
+                    f"multiplying this product out could exceed the expansion cap of "
+                    f"{EXPANSION_CAP} generators; only products of normal atoms are "
+                    "answered without it"
+                )
         ideal = None
         for base, d in bases:
             if isinstance(base, NabFactor):

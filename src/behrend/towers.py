@@ -14,20 +14,20 @@ Construction.  Two towers share the curve at level r >= 2 when both reach
 height r, lie on one branch and have tangents agreeing in every degree
 below r; at level 1 every tower shares the root.  Sorting the towers once by
 branch and then lexicographically by tangent (missing degrees read as 0)
-puts every class at every level in one contiguous run, and the agreement
-depth of any two towers is the minimum of the adjacent depths between them
-(difference_order on one branch, 1 across branches): the property LCP arrays
-rest on (Kasai et al., CPM 2001).  A class at level r is therefore a maximal
-run of towers of height >= r whose adjacent depths, minimized over any
-shorter towers between them, are at least r.  The runs change only on the
-level after a tower ends or an adjacent depth runs out; between those event
-levels each class adds one chain node.
+puts every class at every level in one contiguous run, and the
+agreement_depth of any two towers is the minimum of the adjacent depths
+between them: the property LCP arrays rest on (Kasai et al., CPM 2001).
+A class at level r is therefore a maximal run of towers of height >= r
+whose adjacent depths, minimized over any shorter towers between them, are
+at least r.  The runs change only on the level after a tower ends or an
+adjacent depth runs out; between those event levels each class adds one
+chain node.
 
-Cost.  O(T log T) tangent comparisons for the sort (each O(agreement depth)),
-O(T) at each of at most 2T - 1 event levels, and list slicing and
-repetition over the parallel chains between them; Python-level loops run
-once per factor, to place it, and once per node in each of three passes:
-the weights, the multiplicities and the contraction check.
+Cost.  One pass per tangent for its sort key and O(T log T) key
+comparisons, O(T) at each of at most 2T - 1 event levels, and list slicing
+and repetition over the parallel chains between them; Python-level loops
+run once per factor, to place it, and once per node in each of three
+passes: the weights, the multiplicities and the contraction check.
 
 The contribution of a factor whose own node is c_I to a node c is the level
 of the deepest common ancestor of c and c_I (a node counts as its own
@@ -43,8 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import accumulate, compress, groupby, repeat
+from itertools import accumulate, compress, groupby, repeat, zip_longest
 from operator import itemgetter, le, lt, mul, sub
 from typing import NamedTuple
 
@@ -143,33 +142,14 @@ def tower_length(tower: Tower) -> int:
     return sum(partial)
 
 
-def difference_order(t1: Tower, t2: Tower):
-    """o(g1 - g2) for two same-branch towers; None when the tangents agree."""
-    g1, g2 = t1.tangent, t2.tangent
-    for i, (a, b) in enumerate(zip(g1, g2)):
-        if a != b:
-            return i + 1
-    longer = g1 if len(g1) > len(g2) else g2
-    for i in range(min(len(g1), len(g2)), len(longer)):
-        if longer[i] != 0:
-            return i + 1
-    return None
-
-
-def _coefficient(tower: Tower, degree: int) -> Fraction:
-    """Coefficient of g in the given degree, 0 past the stored ones."""
-    return tower.tangent[degree - 1] if degree <= len(tower.tangent) else _ZERO
-
-
-def _compare_tangents(t1: Tower, t2: Tower) -> int:
-    """Order by branch, then lexicographically by tangent with missing
-    degrees read as 0 (the order of the zero-padded tangent prefixes)."""
+def agreement_depth(t1: Tower, t2: Tower) -> int | None:
+    """The level up to which two towers share their curves, where both
+    reach: 1 across branches, else o(g1 - g2), the first degree where the
+    tangents differ; None when they are equal."""
     if t1.branch != t2.branch:
-        return -1 if t1.branch < t2.branch else 1
-    d = difference_order(t1, t2)
-    if d is None:
-        return 0
-    return -1 if _coefficient(t1, d) < _coefficient(t2, d) else 1
+        return 1
+    pairs = zip_longest(t1.tangent, t2.tangent, fillvalue=0)
+    return next((degree for degree, (a, b) in enumerate(pairs, 1) if a != b), None)
 
 
 # -- products ----------------------------------------------------------------
@@ -205,11 +185,9 @@ class TowerProduct(_Towers):
             )
         # cross-branch towers with aligned directions (c_x * c_y = 1) share a
         # branch after a linear change of variables; the classes would split them
-        x_directions = [t.tangent[0] for t in towers if t.branch == "x" and t.tangent]
-        if x_directions and any(
-            t.branch == "y" and t.tangent and t.tangent[0] and 1 / t.tangent[0] in x_directions
-            for t in towers
-        ):
+        x_directions = [t.linear_coefficient() for t in towers if t.branch == "x" and t.tangent]
+        if x_directions and any(t.branch == "y" and t.linear_coefficient()
+                                and 1 / t.linear_coefficient() in x_directions for t in towers):
             raise UnsupportedError(
                 "cross-branch towers with aligned tangent directions: "
                 "rewrite them on a common branch first"
@@ -274,18 +252,22 @@ class TowerProduct(_Towers):
         return result
 
 
+def _padded_key(tower: Tower) -> tuple:
+    """A key ordering towers by branch and then by zero-padded tangent, in
+    memory linear in the nonzero coefficients: a coefficient c of degree d
+    reads (0, d, c) if c < 0 and (2, -d, c) if c > 0, and the end, zeros
+    from there on, reads (1,); so where one tangent has c and the other 0,
+    c < 0 sorts first and c > 0 last, as on the padded tangents."""
+    terms = [(0, d, c) if c.numerator < 0 else (2, -d, c)
+             for d, c in enumerate(tower.tangent, 1) if c.numerator]
+    return (tower.branch, *terms, (1,))
+
+
 def _agreement_order(towers) -> tuple[list[int], list[int]]:
-    """Tower indices sorted by _compare_tangents, and the agreement depth of
-    each adjacent pair: difference_order on one branch, 1 across branches."""
-    order = sorted(
-        range(len(towers)),
-        key=cmp_to_key(lambda i, j: _compare_tangents(towers[i], towers[j])),
-    )
-    depths = []
-    for i, j in zip(order, order[1:]):
-        t1, t2 = towers[i], towers[j]
-        depths.append(difference_order(t1, t2) if t1.branch == t2.branch else 1)
-    return order, depths
+    """Tower indices sorted by _padded_key, and the agreement_depth of each
+    adjacent pair.  Tangents on one branch are distinct, so no two keys tie."""
+    order = sorted(range(len(towers)), key=list(map(_padded_key, towers)).__getitem__)
+    return order, [agreement_depth(towers[i], towers[j]) for i, j in zip(order, order[1:])]
 
 
 def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:

@@ -83,7 +83,7 @@ from .towers import (
     Tower,
     TowerNuSummary,
     TowerProduct,
-    difference_order,
+    agreement_depth,
     make_tower,
     noncomplete_product_nu,
     tower_length,
@@ -198,23 +198,19 @@ def two_tower_nu(k1: Tower, k2: Tower) -> int:
     """
     _require_complete(k1, "the two-tower closed form")
     _require_complete(k2, "the two-tower closed form")
-    h1, h2 = k1.height, k2.height
-    if k1.branch != k2.branch:
-        if k1.linear_coefficient() * k2.linear_coefficient() == 1:
-            raise UnsupportedError(
-                "the tangent directions coincide; after a linear change of "
-                "variables this is a same-branch pair"
-            )
-        d = 1
-    else:
-        d = difference_order(k1, k2)
-        if d is None:
-            raise UnsupportedError("identical towers form a power; use nu_power_rule")
-        if d > min(h1, h2):
-            raise UnsupportedError(
-                "tangents agree beyond the smaller height; no two-tower closed "
-                "form applies, use the diagram engine"
-            )
+    h1, h2, d = k1.height, k2.height, agreement_depth(k1, k2)
+    if k1.branch != k2.branch and k1.linear_coefficient() * k2.linear_coefficient() == 1:
+        raise UnsupportedError(
+            "the tangent directions coincide; after a linear change of "
+            "variables this is a same-branch pair"
+        )
+    if d is None:
+        raise UnsupportedError("identical towers form a power; use nu_power_rule")
+    if d > min(h1, h2):
+        raise UnsupportedError(
+            "tangents agree beyond the smaller height; no two-tower closed "
+            "form applies, use the diagram engine"
+        )
     nu1, nu2 = tower_nu(k1), tower_nu(k2)
     return nu1 + nu2 + (h1 + h2 - 2 * d) * d * (d + 1) // 2 + 2 * d * (h1 - d) * (h2 - d)
 
@@ -409,17 +405,12 @@ def random_normal_product(rng: random.Random, bounds: Bounds) -> str:
 
 def _factor_depths(product: TowerProduct):
     """The factors (i, k), tower and exponent, of a product, and the
-    agreement depths a_ij of its towers: difference_order on one branch, 1
-    across branches, unbounded for i = j.  Factors (i, k) and (j, l) meet at
-    level min(k, l, a_ij)."""
+    agreement depths a_ij of its towers: agreement_depth for i != j,
+    unbounded for i = j.  Factors (i, k) and (j, l) meet at level
+    min(k, l, a_ij)."""
     towers = product.towers
-    depth = [
-        [
-            float("inf") if i == j else difference_order(s, t) if s.branch == t.branch else 1
-            for j, t in enumerate(towers)
-        ]
-        for i, s in enumerate(towers)
-    ]
+    depth = [[float("inf") if i == j else agreement_depth(s, t) for j, t in enumerate(towers)]
+             for i, s in enumerate(towers)]
     factors = [(i, k) for i, tower in enumerate(towers) for k in tower.exponents]
     return factors, depth
 

@@ -332,6 +332,14 @@ def test_command_line_forms(capsys, monkeypatch, tmp_path, argv, code, empty):
     assert list(tmp_path.iterdir()) == []
 
 
+# thirty generators x^k y^(31-k) and no pure power: the 30th power has 871
+# generators, which a refusal of the product listed in 10,372 bytes
+SLOPED_LIST = "(" + ", ".join(f"x^{k} y^{31 - k}" for k in range(1, 31)) + ")"
+SLOPED_LIST_REFUSED = ("domain error: MonomialIdeal(["
+                       + ", ".join(f"({k}, {31 - k})" for k in range(1, 31))
+                       + "]) does not have finite colength")
+
+
 def over_the_cap(count):
     return f"unsupported: the product has {count} tower factors, above the diagram cap of 150000"
 
@@ -401,6 +409,12 @@ class TestExitCodes:
             ("dynkin", "tower(x; g=y; exps=[2])^9999999999", 3, over_the_cap(9999999999)),
             ("dynkin", "tower(x; g=y; exps=[2])^99999999", 3, over_the_cap(99999999)),
             ("nu", "tower(x; g=y; exps=[2, 3])^75000 * m", 3, over_the_cap(150001)),
+            # a product with a list lacking finite colength lacks it too: refused
+            # on that list, before anything is multiplied out or capped
+            ("length", SLOPED_LIST + "^30", 2, SLOPED_LIST_REFUSED),
+            ("nu", "(x y, x^2)^1500", 2,
+             "domain error: MonomialIdeal([(1, 1), (2, 0)]) does not have finite colength"),
+            ("nu", "(x y, x^2)^0 * (x^2, y^3)", 0, "nu = 6"),
         ],
     )
     def test_powers_of_towers(self, capsys, command, expr, code, expected):
@@ -436,7 +450,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,expr,code,start", [
         ("ferrers", "(x^{0}, y^{0})", 3,
          "unsupported: the staircase grid has <8600 digits> cells"),
-        ("length", "(x^{})^10", 2, "domain error: MonomialIdeal([(<4301 digits>, 0)])"),
+        ("length", "(x^{})^10", 2, "domain error: MonomialIdeal([(<4300 digits>, 0)])"),
         ("dynkin", "tower(x; g=y; exps=[2, 3])^{}", 3,
          "unsupported: the product has <4301 digits> tower factors"),
         ("nu", "tower(x; g=y; exps=[1, {}])", 3,

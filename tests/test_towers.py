@@ -585,6 +585,28 @@ class TestReferenceEngine:
             (n.level, n.members) for n in build_dynkin(product).nodes
         ]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("xy"),
+                              st.lists(st.integers(-2, 2), max_size=6)), min_size=2, max_size=8))
+    def test_sort_key_and_depth_read_the_zero_padded_tangents(self, drawn):
+        # short tangents with zero runs and both signs, so one is often a
+        # prefix of another; equal (branch, tangent) pairs are dropped
+        tower_list = list({t[:2]: t for t in (make_tower(b, g, [len(g) + 1])
+                                              for b, g in drawn)}.values())
+        width = max(len(t.tangent) for t in tower_list)
+
+        def padded(t):
+            return t.tangent + (0,) * (width - len(t.tangent))
+
+        indices = range(len(tower_list))
+        assert sorted(indices, key=lambda i: towers._padded_key(tower_list[i])) == sorted(
+            indices, key=lambda i: (tower_list[i].branch, padded(tower_list[i])))
+        for s in tower_list:
+            for t in tower_list:
+                differ = [d for d, (a, b) in enumerate(zip(padded(s), padded(t)), 1) if a != b]
+                expected = 1 if s.branch != t.branch else (differ or [None])[0]
+                assert towers.agreement_depth(s, t) == expected
+
 
 class TestDynkinShapes:
     def test_single_tower_chain(self):
