@@ -96,8 +96,9 @@ def dynkin_json(summary: TowerNuSummary) -> dict:
             {"level": level, "members": members, "factors": factors,
              "self_intersection": self_intersection, "multiplicity": multiplicity,
              "surviving": surviving}
-            for _, level, members, factors, self_intersection, multiplicity, surviving
-            in diagram.nodes
+            for level, members, factors, self_intersection, multiplicity, surviving
+            in zip(diagram.levels, diagram.members, diagram.factors,
+                   diagram.self_intersection, diagram.multiplicity, diagram.surviving)
         ],
         "edges": diagram.edges,
     }
@@ -121,7 +122,9 @@ def _report_text(report: BehrendReport) -> str:
 def _summary_text(summary: TowerNuSummary) -> str:
     lines = [f"nu = {summary.nu}", f"length = {summary.length}"]
     lines.append("nodes (level, multiplicity, surviving):")
-    for _, level, _, _, _, multiplicity, surviving in summary.diagram.nodes:
+    diagram = summary.diagram
+    for level, multiplicity, surviving in zip(diagram.levels, diagram.multiplicity,
+                                              diagram.surviving):
         flag = "kept" if surviving else "contracted"
         lines.append(f"  level {level}  mult {multiplicity}  [{flag}]")
     return "\n".join(lines)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING
 
 from .expr import tangent_text
@@ -50,12 +51,19 @@ def _node_label(level: int, factors, prefixes: list[str]) -> str:
     return ", ".join(["m" if k == 1 else f"{prefixes[t]}{k}" for t, k in factors])
 
 
+def _drawn(diagram: DynkinDiagram):
+    """Per node, read off the columns: index, level, factors,
+    self-intersection, multiplicity and survival."""
+    return zip(count(), diagram.levels, diagram.factors, diagram.self_intersection,
+               diagram.multiplicity, diagram.surviving)
+
+
 def dynkin_dot(diagram: DynkinDiagram, product: TowerProduct) -> str:
     """DOT graph; levels become ranks so renders match the leveled pictures."""
     lines = ["graph dynkin {", "  rankdir=BT;", "  node [shape=circle];"]
     by_level: dict[int, list[int]] = {}
     prefixes = _label_prefixes(product)
-    for index, level, _, factors, self_intersection, multiplicity, surviving in diagram.nodes:
+    for index, level, factors, self_intersection, multiplicity, surviving in _drawn(diagram):
         by_level.setdefault(level, []).append(index)
         flag = 'kept"' if surviving else 'contracted", style=dashed'
         lines.append(
@@ -122,8 +130,8 @@ def fan_svg(fan: Fan) -> str:
 
 def dynkin_svg(diagram: DynkinDiagram, product: TowerProduct) -> str:
     levels: dict[int, list[int]] = {}
-    for node in diagram.nodes:
-        levels.setdefault(node.level, []).append(node.index)
+    for index, level in enumerate(diagram.levels):
+        levels.setdefault(level, []).append(index)
     max_level = max(levels)
     max_row = max(len(v) for v in levels.values())
     step_x, step_y, r = 150, 80, 12
@@ -140,17 +148,17 @@ def dynkin_svg(diagram: DynkinDiagram, product: TowerProduct) -> str:
     for a, b in diagram.edges:
         (xa, ya), (xb, yb) = position[a], position[b]
         body.append(f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}" stroke="black"/>')
-    for node in diagram.nodes:
-        x, y = position[node.index]
-        fill = "#cfe2ff" if node.surviving else "white"
-        dash = "" if node.surviving else ' stroke-dasharray="4 2"'
+    for index, level, factors, self_intersection, multiplicity, surviving in _drawn(diagram):
+        x, y = position[index]
+        fill = "#cfe2ff" if surviving else "white"
+        dash = "" if surviving else ' stroke-dasharray="4 2"'
         body.append(
             f'<circle cx="{x}" cy="{y}" r="{r}" fill="{fill}" stroke="black"{dash}/>'
         )
-        label = _node_label(node.level, node.factors, prefixes)
+        label = _node_label(level, factors, prefixes)
         body.append(f'<text x="{x + r + 4}" y="{y - 4}" font-size="11">{label}</text>')
         body.append(
             f'<text x="{x + r + 4}" y="{y + 10}" font-size="11">'
-            f"{node.self_intersection}, mult {node.multiplicity}</text>"
+            f"{self_intersection}, mult {multiplicity}</text>"
         )
     return _svg(width, height, body)

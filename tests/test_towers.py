@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from behrend import (
     MAXIMAL_IDEAL,
     DomainError,
+    DynkinNode,
     Factor,
     MonomialIdeal,
     TowerProduct,
@@ -43,16 +44,16 @@ def contribution(diagram, factor, node_index):
     """Contribution of one factor (tower index, exponent) to one node's
     multiplicity: the level of the deepest common ancestor of the node and
     the factor's own node, found by walking diagram.parents level by level."""
-    i = next(n.index for n in diagram.nodes if factor in n.factors)
+    i = next(index for index, factors in enumerate(diagram.factors) if factor in factors)
     j = node_index
-    nodes, parents = diagram.nodes, diagram.parents
-    while nodes[i].level > nodes[j].level:
+    levels, parents = diagram.levels, diagram.parents
+    while levels[i] > levels[j]:
         i = parents[i]
-    while nodes[j].level > nodes[i].level:
+    while levels[j] > levels[i]:
         j = parents[j]
     while i != j:
         i, j = parents[i], parents[j]
-    return nodes[i].level
+    return levels[i]
 
 
 def tangent_prefix(tower, r):
@@ -172,6 +173,12 @@ def forked_product(rng, max_height=12):
             return TowerProduct.from_factors(towers)
         except UnsupportedError:
             continue
+
+
+def reference_products():
+    """The forked products the reference comparison draws."""
+    rng = random.Random(53)
+    return [forked_product(rng) for _ in range(240)]
 
 
 def random_product(rng, max_height=8):
@@ -507,25 +514,41 @@ class TestEquivalenceClasses:
 
 class TestReferenceEngine:
     def test_matches_per_level_engine(self):
-        rng = random.Random(53)
-        products = [forked_product(rng) for _ in range(240)]
+        products = reference_products()
         assert sum(len(p.towers) >= 4 for p in products) >= 40
         deep_forks = 0
         for product in products:
             diagram = build_dynkin(product)
+            nodes = diagram.nodes
             actual = [
                 (n.level, n.members, n.factors, diagram.parents[n.index],
                  n.self_intersection, n.multiplicity, n.surviving)
-                for n in diagram.nodes
+                for n in nodes
             ]
             assert actual == reference_dynkin(product)
-            assert [n.index for n in diagram.nodes] == list(range(len(diagram.nodes)))
-            assert diagram.edges == tuple((p, i) for i, p in enumerate(diagram.parents) if i)
             deep_forks += any(
-                n.level >= 4 and len(diagram.nodes[diagram.parents[n.index]].members)
-                > len(n.members) for n in diagram.nodes
+                n.level >= 4 and len(nodes[diagram.parents[n.index]].members)
+                > len(n.members) for n in nodes
             )
         assert deep_forks >= 50
+
+    def test_views_and_sums_match_the_node_records(self):
+        # nodes and edges are built from the columns on access; nu and length
+        # read the columns, and must equal the sums over the node records
+        for product in reference_products():
+            diagram = build_dynkin(product)
+            nodes, parents = diagram.nodes, diagram.parents
+            columns = (diagram.levels, diagram.members, diagram.factors,
+                       diagram.self_intersection, diagram.multiplicity, diagram.surviving)
+            assert {len(column) for column in columns} == {len(parents)} == {len(nodes)}
+            for i, node in enumerate(nodes):
+                assert type(node) is DynkinNode
+                assert node == DynkinNode(i, *(column[i] for column in columns))
+            assert diagram.edges == tuple((parents[i], i) for i in range(1, len(nodes)))
+            assert diagram.nu() == sum(n.multiplicity for n in nodes if n.surviving)
+            weights = [n.multiplicity - (nodes[parents[n.index]].multiplicity if n.index else 0)
+                       for n in nodes]
+            assert diagram.length() == sum(w * (w + 1) // 2 for w in weights)
 
     def test_matches_per_level_engine_at_benchmark_heights(self):
         rng = random.Random(61)
@@ -665,11 +688,9 @@ class TestDynkinShapes:
             except UnsupportedError:
                 continue
             diagram = build_dynkin(product)
-            assert len(diagram.edges) == len(diagram.nodes) - 1
-            assert all(
-                abs(diagram.nodes[a].level - diagram.nodes[b].level) == 1
-                for a, b in diagram.edges
-            )
+            nodes = diagram.nodes
+            assert len(diagram.edges) == len(nodes) - 1
+            assert all(abs(nodes[a].level - nodes[b].level) == 1 for a, b in diagram.edges)
 
 
 class TestContribution:
@@ -990,11 +1011,12 @@ class TestDivisorDegreeChecks:
             built += 1
             summary = noncomplete_product_nu(product)
             diagram = summary.diagram
-            adjacency = [0] * len(diagram.nodes)
+            nodes = diagram.nodes
+            adjacency = [0] * len(nodes)
             for a, b in diagram.edges:
-                adjacency[a] += diagram.nodes[b].multiplicity
-                adjacency[b] += diagram.nodes[a].multiplicity
-            for node in diagram.nodes:
+                adjacency[a] += nodes[b].multiplicity
+                adjacency[b] += nodes[a].multiplicity
+            for node in nodes:
                 degree_on_curve = (
                     node.multiplicity * node.self_intersection + adjacency[node.index]
                 )
@@ -1005,8 +1027,9 @@ class TestDivisorDegreeChecks:
         # the check reads build_dynkin's columns; raising the level-3 curve's
         # multiplicity by 1 lifts its parent's divisor degree to 0, a survivor's
         diagram = towers.build_dynkin(TowerProduct([complete("x", 3), complete("y", 2)]))
-        columns = map(list, zip(*diagram.nodes))
-        _, levels, _, _, self_intersection, multiplicity, surviving = columns
+        levels, self_intersection, multiplicity, surviving = map(list, (
+            diagram.levels, diagram.self_intersection, diagram.multiplicity, diagram.surviving
+        ))
         towers._check_contraction_degrees(
             diagram.parents, levels, self_intersection, multiplicity, surviving
         )
