@@ -40,9 +40,7 @@ from .newton import (
 from .normal_factor import NabFactor, factor_normal, nab_atom, polygon_factors
 from .nu import BehrendReport, nu_monomial, nu_normal
 
-if TYPE_CHECKING:  # towers and fractions are imported only where a tower form is built
-    from fractions import Fraction
-
+if TYPE_CHECKING:  # towers is imported only where a tower form is built
     from .towers import Tower, TowerNuSummary, TowerProduct
 
 # One alternative per token kind after optional whitespace, in ASCII only; the
@@ -404,7 +402,7 @@ class _Parser:
         return (exponents["x"] or 0, exponents["y"] or 0)
 
     def tower_literal(self) -> Tower:
-        from .towers import make_tower
+        from .towers import tower_from_terms
 
         self.expect("name", "'tower'")
         self.expect("(", "'(' after tower")
@@ -427,14 +425,16 @@ class _Parser:
         exps = self.int_list("an exponent")
         self.expect("]", "']'")
         self.expect(")", "')' closing the tower")
-        return make_tower(branch, tangent, exps)
+        return tower_from_terms(branch, tangent, exps)
 
-    def tangent_poly(self, variable: str) -> list[Fraction]:
+    def tangent_poly(self, variable: str):
         """Polynomial in the branch-opposite variable with rational coefficients
-        and zero constant term, one match per term."""
+        and zero constant term, one match per term: its (degree, coefficient)
+        terms summed per degree, as the tower stores them, with no coefficient
+        list padded out to the degree as make_tower's dense input is."""
         from fractions import Fraction
 
-        term_at, terms, pos = re.compile(_TERM).match, [], self.token.pos
+        term_at, terms, pos = re.compile(_TERM).match, {}, self.token.pos
         while (term := term_at(self.text, pos))[1] or not terms:  # a sign between terms
             sign, numerator, slash, denominator, name, caret, degree = term.groups()
             if slash and denominator is None:
@@ -447,32 +447,14 @@ class _Parser:
                 self.fail("expected an integer exponent", term.end(6))
             if numerator is None and name is None:
                 self.fail("expected a tangent term", term.end(1))
-            coefficient = Fraction(int(sign + (numerator or "1")), int(denominator or 1))
-            terms.append((int(degree or 1) if name else 0, coefficient))
+            degree = int(degree or 1) if name else 0
+            terms[degree] = terms.get(degree, 0) + Fraction(
+                int(sign + (numerator or "1")), int(denominator or 1))
             pos = term.end()
         self.resume(pos)
-        return self.coefficients(terms)
-
-    def coefficients(self, terms) -> list[Fraction]:
-        """Dense coefficients of degree 1, 2, ... of the summed (degree,
-        coefficient) terms, refused before they are built when the degree
-        exceeds the diagram cap."""
-        coefficients: dict[int, Fraction] = {}
-        for degree, term in terms:
-            coefficients[degree] = coefficients[degree] + term if degree in coefficients else term
-        if coefficients.get(0):
+        if terms.get(0):
             self.fail("the tangent polynomial must vanish at 0")
-        top = max((d for d, c in coefficients.items() if c), default=0)
-        from fractions import Fraction
-
-        from .towers import DIAGRAM_CAP
-
-        if top > DIAGRAM_CAP:
-            raise UnsupportedError(
-                f"the tangent has degree {number_text(top)}, above the diagram cap of {DIAGRAM_CAP}"
-            )
-        zero = Fraction(0)
-        return [coefficients.get(d, zero) for d in range(1, top + 1)]
+        return terms.items()
 
 
 def parse(text: str) -> Elaborated:
@@ -513,13 +495,11 @@ def factors_text(factors) -> str:
 
 
 def tangent_text(tangent, variable: str) -> str:
+    """g written from the nonzero (degree, coefficient) terms a tower stores."""
     if not tangent:
         return "0"
     parts = []
-    for i, c in enumerate(tangent):
-        if c == 0:
-            continue
-        degree = i + 1
+    for degree, c in tangent:
         var = variable if degree == 1 else f"{variable}^{degree}"
         magnitude = abs(c)
         body = var if magnitude == 1 else f"{magnitude}*{var}"

@@ -49,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, compress, groupby, repeat, zip_longest
+from math import inf
 from operator import le, lt, mul, sub
 from typing import NamedTuple
 
@@ -57,32 +58,25 @@ from .ideals import MonomialIdeal, _exponents
 
 BRANCHES = ("x", "y")
 
-# Most nodes build_dynkin builds, and highest tangent degree the parser reads,
-# until the engine stores segments instead of nodes: the diagram of a tower
-# of height H has at least H nodes.  `nu` of the chain tower(x; g=y; exps=[1,
-# H]) takes, end to end on a 2-core host (median of 5 processes), 0.07 s at
-# H = 10^4, 0.15 s at 10^5 and 0.22 s at the cap.
+# Most nodes build_dynkin builds, until the engine stores segments instead of
+# nodes: the diagram of a tower of height H has at least H nodes.  `nu` of the
+# chain tower(x; g=y; exps=[1, H]) takes, end to end on a 2-core host (median
+# of 5 processes), 0.07 s at H = 10^4, 0.15 s at 10^5 and 0.22 s at the cap.
 DIAGRAM_CAP = 150_000
 
 _ZERO = Fraction(0)
 
 
-def _as_coefficients(tangent) -> tuple[Fraction, ...]:
-    coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in tangent)
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
 class Tower(NamedTuple):
-    """Validated tower; build through make_tower.
+    """Validated tower; build through make_tower, which takes g dense, or
+    tower_from_terms, which takes its terms.
 
-    tangent holds the coefficients of g at degrees 1, 2, ... with trailing
-    zeros stripped; the empty tuple is the monomial tower g = 0.
+    tangent holds g as its nonzero terms (degree, coefficient), by ascending
+    degree, however g was given; the empty tuple is the monomial tower g = 0.
     """
 
     branch: str
-    tangent: tuple[Fraction, ...]
+    tangent: tuple[tuple[int, Fraction], ...]
     exponents: tuple[int, ...]
 
     @property
@@ -98,7 +92,7 @@ class Tower(NamedTuple):
         return not self.tangent
 
     def linear_coefficient(self) -> Fraction:
-        return self.tangent[0] if self.tangent else _ZERO
+        return self.tangent[0][1] if self.tangent and self.tangent[0][0] == 1 else _ZERO
 
     def ideal(self) -> MonomialIdeal:
         """Minimal generators of a monomial tower: x^{s-k} y^{i_1+...+i_k}.
@@ -123,7 +117,14 @@ class Tower(NamedTuple):
 
 
 def make_tower(branch: str, tangent, exponents) -> Tower:
-    """Validate and build a tower; each broken precondition is its own error."""
+    """Validate and build a tower from its dense tangent, the coefficients
+    of g at degrees 1, 2, ...; the tower stores their nonzero terms."""
+    return tower_from_terms(branch, enumerate(tangent, 1), exponents)
+
+
+def tower_from_terms(branch: str, terms, exponents) -> Tower:
+    """Validate and build a tower from the (degree, coefficient) terms of its
+    tangent, one per degree; each broken precondition is its own error."""
     if branch not in BRANCHES:
         raise DomainError(f"branch must be 'x' or 'y', not {branch!r}")
     exps = _exponents(exponents)
@@ -133,12 +134,19 @@ def make_tower(branch: str, tangent, exponents) -> Tower:
         raise DomainError("tower exponents must be positive")
     if not all(map(le, exps, exps[1:])):
         raise DomainError("tower exponents must be nondecreasing")
-    coeffs = _as_coefficients(tangent)
-    if len(coeffs) >= exps[-1]:
-        raise DomainError(
-            f"tangent degree {len(coeffs)} must be smaller than the height {exps[-1]}"
-        )
-    return Tower(branch, coeffs, exps)
+    tangent = _nonzero_terms(terms)
+    if tangent and tangent[0][0] < 1:
+        raise DomainError("the tangent must vanish at 0: its degrees must be positive")
+    if tangent and tangent[-1][0] >= exps[-1]:
+        raise DomainError(f"tangent degree {number_text(tangent[-1][0])} must be smaller "
+                          f"than the height {number_text(exps[-1])}")
+    return Tower(branch, tangent, exps)
+
+
+def _nonzero_terms(terms) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero terms, each coefficient made a Fraction, by degree."""
+    return tuple(sorted((d, f) for d, c in terms
+                        if (f := c if isinstance(c, Fraction) else Fraction(c))))
 
 
 def tower_length(tower: Tower) -> int:
@@ -150,11 +158,12 @@ def tower_length(tower: Tower) -> int:
 def agreement_depth(t1: Tower, t2: Tower) -> int | None:
     """The level up to which two towers share their curves, where both
     reach: 1 across branches, else o(g1 - g2), the first degree where the
-    tangents differ; None when they are equal."""
+    tangents differ, which is the smaller degree of their first differing
+    terms; None when they are equal."""
     if t1.branch != t2.branch:
         return 1
-    pairs = zip_longest(t1.tangent, t2.tangent, fillvalue=0)
-    return next((degree for degree, (a, b) in enumerate(pairs, 1) if a != b), None)
+    pairs = zip_longest(t1.tangent, t2.tangent, fillvalue=(inf,))
+    return next((min(s[0], t[0]) for s, t in pairs if s != t), None)
 
 
 # -- products ----------------------------------------------------------------
@@ -162,7 +171,8 @@ def agreement_depth(t1: Tower, t2: Tower) -> int | None:
 
 class Factor(NamedTuple):
     """A single curvilinear factor (f) + m^exponent.  At exponent 1 it cuts
-    out m, whatever f: (f) + m = m."""
+    out m, whatever f: (f) + m = m.  tangent is dense, as make_tower takes
+    it; the tower built from the factor stores its nonzero terms."""
 
     branch: str
     tangent: tuple[Fraction, ...]
@@ -180,7 +190,7 @@ class TowerProduct(_Towers):
     __slots__ = ()
 
     def __new__(cls, towers):
-        towers = tuple(sorted(towers))  # by branch, tangent, exponents
+        towers = tuple(sorted(towers, key=_stored_key))  # by branch, dense tangent
         if not towers:
             raise DomainError("a tower product needs at least one tower")
         if any(s[:2] == t[:2] for s, t in zip(towers, towers[1:])):  # same branch and tangent
@@ -212,10 +222,9 @@ class TowerProduct(_Towers):
         whose exponents are their multiset: a repeated exponent is a
         repeated factor, as in a power.  Exponent-1 factors all cut out m,
         whatever their branch and tangent; the j-th goes to slot j mod the
-        slot count, the slots being the groups in (branch, tangent) order,
-        then new monomial towers on x and on y.  make_tower builds every
-        group, so a Tower not built by make_tower is canonicalized or
-        refused as make_tower would.
+        slot count, the slots being the groups in stored order, then new
+        monomial towers on x and on y.  tower_from_terms builds every group,
+        so a Tower not built by it is canonicalized or refused as it would.
         """
         floating = 0
         groups: dict[tuple, list] = {}  # (branch, tangent) -> exponents
@@ -223,7 +232,8 @@ class TowerProduct(_Towers):
             if isinstance(item, Tower):
                 key, exponents = (item.branch, item.tangent), item.exponents
             else:
-                key, exponents = (item.branch, _as_coefficients(item.tangent)), (item.exponent,)
+                key = (item.branch, _nonzero_terms(enumerate(item.tangent, 1)))
+                exponents = (item.exponent,)
             ones = exponents.count(1)
             if ones:
                 floating += ones
@@ -233,10 +243,11 @@ class TowerProduct(_Towers):
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
         if floating:
-            slots = sorted(groups) + [key for key in (("x", ()), ("y", ())) if key not in groups]
+            slots = sorted(groups, key=_stored_key)
+            slots += [key for key in (("x", ()), ("y", ())) if key not in groups]
             for j, key in enumerate(slots[:floating]):
                 groups.setdefault(key, []).extend([1] * len(range(j, floating, len(slots))))
-        return cls(make_tower(branch, tangent, sorted(exps))
+        return cls(tower_from_terms(branch, tangent, sorted(exps))
                    for (branch, tangent), exps in groups.items())
 
     @property
@@ -257,15 +268,21 @@ class TowerProduct(_Towers):
         return result
 
 
-def _padded_key(tower: Tower) -> tuple:
-    """A key ordering towers by branch and then by zero-padded tangent, in
-    memory linear in the nonzero coefficients: a coefficient c of degree d
-    reads (0, d, c) if c < 0 and (2, -d, c) if c > 0, and the end, zeros
-    from there on, reads (1,); so where one tangent has c and the other 0,
-    c < 0 sorts first and c > 0 last, as on the padded tangents."""
-    terms = [(0, d, c) if c.numerator < 0 else (2, -d, c)
-             for d, c in enumerate(tower.tangent, 1) if c.numerator]
-    return (tower.branch, *terms, (1,))
+def _padded_key(tower, end=(1,)) -> tuple:
+    """A key ordering towers, or (branch, tangent) pairs, by branch and then
+    by zero-padded tangent, read off the terms: a term c of degree d reads
+    (0, d, c) if c < 0 and (2, -d, c) if c > 0, and the end, zeros from
+    there on, reads (1,); so where one tangent has c and the other 0, c < 0
+    sorts first and c > 0 last, as on the padded tangents."""
+    terms = [(0, d, c) if c.numerator < 0 else (2, -d, c) for d, c in tower[1]]
+    return (tower[0], *terms, end)
+
+
+def _stored_key(tower) -> tuple:
+    """The order TowerProduct stores: by branch and then by dense tangent,
+    which sorts before every longer tangent it is a prefix of, so its end
+    reads (-1,), below every term; see _padded_key."""
+    return _padded_key(tower, (-1,))
 
 
 def _agreement_order(towers) -> tuple[list[int], list[int]]:

@@ -24,6 +24,8 @@ N = 600_000_000
 FAMILY = f"(x^{N}, x^{N // 2} y^{N // 3}, y^{N + 1})"
 SPARSE = "tower(x; g=y; exps=[1, 10000])"  # a 10000-level chain, nu = H + 3
 TALL = "tower(x; g=y; exps=[1, 100000000])"  # its diagram would have 10^8 nodes
+# a tangent term of high degree: length is the closed form, nu's diagram is over the cap
+TALL_TANGENT = "tower(x; g=y^5000000; exps=[5000001])"
 # a pair's length is read off its diagram, which would have 10^11 nodes
 TALL_PAIR = "tower(x; g=y; exps=[1, 100000000000]) * tower(x; g=2*y; exps=[1, 2])"
 
@@ -195,7 +197,7 @@ def test_dynkin_refuses_n_ab_without_its_closure():
         (("ferrers", "(x^100000000, y)", "--format", "json"), "the output cap of 1000000"),
         (("normalize", "m^100000000"), "the output cap of 1000000"),
         (("nu", "tower(x; g=y; exps=[1, 3000000])"), "the diagram cap of 150000"),
-        (("nu", "tower(x; g=y^5000000; exps=[5000001])"), "the diagram cap of 150000"),
+        (("nu", TALL_TANGENT), "the diagram cap of 150000"),
         (("length", TALL_PAIR), "the diagram cap of 150000"),
     ],
 )
@@ -218,6 +220,19 @@ def test_sparse_tower_chain():
 def test_tall_single_tower_length():
     # a single tower's length is its closed form, O(#exponents)
     assert behrend("length", TALL) == "length = 100000002\n"
+
+
+def test_tall_tangent_single_tower_length():
+    # a tangent is held as its nonzero terms, whatever its degree
+    assert behrend("length", TALL_TANGENT) == "length = 5000001\n"
+
+
+def test_hundred_towers_forking_at_a_high_degree():
+    # the tangents agree below degree 149001 and fork there, 149,901 nodes;
+    # each tower holds three terms, not a coefficient per degree
+    text = " * ".join(f"tower(x; g=y + y^149000 + {k}*y^149001; exps=[149010])"
+                      for k in range(1, 101))
+    assert behrend("nu", text).startswith("nu = 1490010900\n")
 
 
 def test_factor_cap_spares_a_product_without_powers():

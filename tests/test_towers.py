@@ -28,6 +28,7 @@ from behrend import (
     two_tower_nu,
 )
 from behrend import towers
+from behrend.towers import tower_from_terms
 from behrend.verify import pairwise_meet_length
 
 
@@ -58,8 +59,8 @@ def contribution(diagram, factor, node_index):
 
 def tangent_prefix(tower, r):
     """Coefficients of g in degrees < r, zero-padded to length r - 1."""
-    coeffs = tower.tangent[: r - 1]
-    return coeffs + (Fraction(0),) * (r - 1 - len(coeffs))
+    coeffs = dict(tower.tangent)
+    return tuple(coeffs.get(d, Fraction(0)) for d in range(1, r))
 
 
 def _pairwise_related(t1, t2, r):
@@ -235,7 +236,15 @@ class TestMakeTower:
 
     def test_trailing_zeros_stripped(self):
         t = make_tower("x", (Fraction(1, 2), 0, 0), (4,))
-        assert t.tangent == (Fraction(1, 2),)
+        assert t.tangent == ((1, Fraction(1, 2)),)
+
+    def test_coefficients_become_fractions_before_zeros_drop(self):
+        t = make_tower("x", ("1/2", "0", 0.0, "-3"), (5,))
+        assert t.tangent == ((1, Fraction(1, 2)), (4, Fraction(-3)))
+        assert all(type(c) is Fraction for _, c in t.tangent)
+        # a factor's dense tangent is read the same way, also for its slot
+        product = TowerProduct.from_factors([Factor("x", (0.5, "0"), 2), Factor(None, (), 1)])
+        assert product.towers == (make_tower("x", (Fraction(1, 2),), (1, 2)),)
 
 
 class TestTowerIdeal:
@@ -381,15 +390,16 @@ class TestTowerProduct:
         assert [(t.branch, t.exponents) for t in product.towers] == [("x", (1, 1)), ("y", (1,))]
         assert product.expand() == MonomialIdeal([(1, 0), (0, 1)]) ** 3
 
-    # towers as (branch, tangent, exponents); a literal's own exponent 1
-    # floats like a bare m, and the j-th floating factor goes to slot j mod
+    # towers as (branch, tangent terms, exponents); a literal's own exponent
+    # 1 floats like a bare m, and the j-th floating factor goes to slot j mod
     # the slot count: the groups in (branch, tangent) order, then new
     # monomial towers on x and on y
+    G = ((1, 1),)  # the tangent g = y, or x on the branch y
     X1, Y1 = ("x", (), (1,)), ("y", (), (1,))
     NO_GROUP = []
     WITHOUT_ONE = [("x", (), (2, 3))]
-    WITH_ONE = [("x", (1,), (1, 2))]
-    TWO_GROUPS = [("y", (), (1, 3)), ("x", (1,), (2,))]
+    WITH_ONE = [("x", G, (1, 2))]
+    TWO_GROUPS = [("y", (), (1, 3)), ("x", G, (2,))]
 
     @pytest.mark.parametrize(
         "towers,count,expected",
@@ -401,20 +411,20 @@ class TestTowerProduct:
             (WITHOUT_ONE, 1, [("x", (), (1, 2, 3))]),
             (WITHOUT_ONE, 2, [("x", (), (1, 2, 3)), Y1]),
             (WITHOUT_ONE, 3, [("x", (), (1, 1, 2, 3)), Y1]),
-            (WITH_ONE, 0, [("x", (1,), (1, 2))]),
-            (WITH_ONE, 1, [("x", (1,), (1, 2)), X1]),
-            (WITH_ONE, 2, [("x", (1,), (1, 2)), X1, Y1]),
-            (WITH_ONE, 3, [("x", (1,), (1, 1, 2)), X1, Y1]),
-            (TWO_GROUPS, 0, [("x", (1,), (1, 2)), ("y", (), (3,))]),
-            (TWO_GROUPS, 1, [("x", (1,), (1, 2)), ("y", (), (1, 3))]),
-            (TWO_GROUPS, 2, [("x", (1,), (1, 2)), ("y", (), (1, 3)), X1]),
-            (TWO_GROUPS, 3, [("x", (1,), (1, 1, 2)), ("y", (), (1, 3)), X1]),
+            (WITH_ONE, 0, [("x", G, (1, 2))]),
+            (WITH_ONE, 1, [("x", G, (1, 2)), X1]),
+            (WITH_ONE, 2, [("x", G, (1, 2)), X1, Y1]),
+            (WITH_ONE, 3, [("x", G, (1, 1, 2)), X1, Y1]),
+            (TWO_GROUPS, 0, [("x", G, (1, 2)), ("y", (), (3,))]),
+            (TWO_GROUPS, 1, [("x", G, (1, 2)), ("y", (), (1, 3))]),
+            (TWO_GROUPS, 2, [("x", G, (1, 2)), ("y", (), (1, 3)), X1]),
+            (TWO_GROUPS, 3, [("x", G, (1, 1, 2)), ("y", (), (1, 3)), X1]),
             (TWO_GROUPS, 7,
-             [("x", (1,), (1, 1, 1, 2)), ("y", (), (1, 1, 1, 3)), ("x", (), (1, 1))]),
+             [("x", G, (1, 1, 1, 2)), ("y", (), (1, 1, 1, 3)), ("x", (), (1, 1))]),
         ],
     )
     def test_bare_m_fill_free_slots_in_order(self, towers, count, expected):
-        items = [make_tower(*t) for t in towers] + [Factor(None, (), 1)] * count
+        items = [tower_from_terms(*t) for t in towers] + [Factor(None, (), 1)] * count
         product = TowerProduct.from_factors(items)
         assert {(t.branch, t.tangent, t.exponents) for t in product.towers} == set(expected)
 
@@ -424,13 +434,18 @@ class TestTowerProduct:
         product = TowerProduct.from_factors([unsorted])
         assert product.towers[0] is not unsorted
         assert product.towers[0].exponents == (2, 3)
-        trailing_zero = towers.Tower("x", (Fraction(1), Fraction(0)), (2, 5))
-        (rebuilt,) = TowerProduct.from_factors([trailing_zero]).towers
-        assert rebuilt.tangent == (1,)
+        zero_term = towers.Tower("x", ((1, Fraction(1)), (2, Fraction(0))), (2, 5))
+        (rebuilt,) = TowerProduct.from_factors([zero_term]).towers
+        assert rebuilt.tangent == ((1, 1),)
         with pytest.raises(DomainError, match="sharing branch and tangent"):
-            TowerProduct.from_factors([trailing_zero, make_tower("x", (1,), (3,))])
+            TowerProduct.from_factors([zero_term, make_tower("x", (1,), (3,))])
+        unsorted_terms = towers.Tower("x", ((3, Fraction(2)), (1, Fraction(-1))), (4,))
+        (rebuilt,) = TowerProduct.from_factors([unsorted_terms]).towers
+        assert rebuilt.tangent == ((1, -1), (3, 2))
         with pytest.raises(DomainError, match="tangent degree 2 must be smaller"):
-            TowerProduct.from_factors([towers.Tower("x", (Fraction(1), Fraction(1)), (2,))])
+            TowerProduct.from_factors([towers.Tower("x", ((2, Fraction(1)),), (2,))])
+        with pytest.raises(DomainError, match="degrees must be positive"):
+            TowerProduct.from_factors([towers.Tower("x", ((0, Fraction(1)),), (2,))])
         with pytest.raises(DomainError, match="branch must be"):
             TowerProduct.from_factors([towers.Tower("z", (), (2,))])
 
@@ -440,25 +455,25 @@ class TestTowerProduct:
         "text,expected",
         [
             ("tower(x; g=y; exps=[2, 3]) * tower(x; g=2*y; exps=[1, 2])",
-             [("x", (1,), (1, 2, 3)), ("x", (2,), (2,))]),
+             [("x", G, (1, 2, 3)), ("x", ((1, 2),), (2,))]),
             ("tower(x; g=-y; exps=[1, 3]) * tower(x; g=y; exps=[1, 2])"
              " * tower(x; g=0; exps=[2])",
-             [("x", (), (1, 2)), ("x", (-1,), (1, 3)), ("x", (1,), (2,))]),
-            ("tower(x; g=y; exps=[1, 2]) * m", [("x", (), (1,)), ("x", (1,), (1, 2))]),
-            ("tower(x; g=y; exps=[2, 3]) * m", [("x", (1,), (1, 2, 3))]),
-            ("tower(x; g=y; exps=[2, 3]) * m^2", [("x", (), (1,)), ("x", (1,), (1, 2, 3))]),
+             [("x", (), (1, 2)), ("x", ((1, -1),), (1, 3)), ("x", G, (2,))]),
+            ("tower(x; g=y; exps=[1, 2]) * m", [("x", (), (1,)), ("x", G, (1, 2))]),
+            ("tower(x; g=y; exps=[2, 3]) * m", [("x", G, (1, 2, 3))]),
+            ("tower(x; g=y; exps=[2, 3]) * m^2", [("x", (), (1,)), ("x", G, (1, 2, 3))]),
             ("m * tower(x; g=2*y; exps=[2, 4]) * tower(x; g=y; exps=[2, 3])",
-             [("x", (1,), (1, 2, 3)), ("x", (2,), (2, 4))]),
+             [("x", G, (1, 2, 3)), ("x", ((1, 2),), (2, 4))]),
             ("tower(y; g=2*x; exps=[2]) * tower(x; g=y; exps=[3]) * m",
-             [("x", (1,), (1, 3)), ("y", (2,), (2,))]),
+             [("x", G, (1, 3)), ("y", ((1, 2),), (2,))]),
             ("tower(y; g=0; exps=[1, 2]) * tower(x; g=y; exps=[2, 3]) * m",
-             [("x", (1,), (1, 2, 3)), ("y", (), (1, 2))]),
+             [("x", G, (1, 2, 3)), ("y", (), (1, 2))]),
             ("tower(x; g=y; exps=[3]) * m * tower(x; g=-y; exps=[2])",
-             [("x", (-1,), (1, 2)), ("x", (1,), (3,))]),
+             [("x", ((1, -1),), (1, 2)), ("x", G, (3,))]),
             # literals on one tangent merge; a merged group is rebuilt
-            ("tower(x; g=y; exps=[1, 3]) * tower(x; g=y; exps=[2])", [("x", (1,), (1, 2, 3))]),
+            ("tower(x; g=y; exps=[1, 3]) * tower(x; g=y; exps=[2])", [("x", G, (1, 2, 3))]),
             ("tower(x; g=0; exps=[2]) * tower(x; g=y; exps=[1, 2]) * tower(x; g=y; exps=[3])",
-             [("x", (), (1, 2)), ("x", (1,), (2, 3))]),
+             [("x", (), (1, 2)), ("x", G, (2, 3))]),
         ],
     )
     def test_exponent_one_placement(self, text, expected):
@@ -601,7 +616,7 @@ class TestReferenceEngine:
         # the product sorts (1,) before (1, 0, -1); the zero-padded prefixes
         # put (1, 0, -1) first at level 4
         product = TowerProduct([complete("x", 5, (1,)), complete("x", 5, (1, 0, -1))])
-        assert [t.tangent for t in product.towers] == [(1,), (1, 0, -1)]
+        assert [t.tangent for t in product.towers] == [((1, 1),), ((1, 1), (3, -1))]
         classes, _ = equivalence_classes(product, 4)
         assert classes == [(1,), (0,)]
         assert [n[:2] for n in reference_dynkin(product)] == [
@@ -616,14 +631,25 @@ class TestReferenceEngine:
         # prefix of another; equal (branch, tangent) pairs are dropped
         tower_list = list({t[:2]: t for t in (make_tower(b, g, [len(g) + 1])
                                               for b, g in drawn)}.values())
-        width = max(len(t.tangent) for t in tower_list)
+        width = max(len(g) for _, g in drawn)
 
         def padded(t):
-            return t.tangent + (0,) * (width - len(t.tangent))
+            coeffs = dict(t.tangent)
+            return tuple(coeffs.get(d, 0) for d in range(1, width + 1))
+
+        def dense(t):  # the padded tangent less its trailing zeros
+            return padded(t)[:max((d for d, _ in t.tangent), default=0)]
 
         indices = range(len(tower_list))
         assert sorted(indices, key=lambda i: towers._padded_key(tower_list[i])) == sorted(
             indices, key=lambda i: (tower_list[i].branch, padded(tower_list[i])))
+        # a product stores its towers by branch, dense tangent and exponents
+        stored = sorted(tower_list, key=lambda t: (t.branch, dense(t), t.exponents))
+        assert sorted(tower_list, key=towers._stored_key) == stored
+        try:
+            assert TowerProduct(tower_list).towers == tuple(stored)
+        except UnsupportedError:  # aligned cross-branch directions are refused
+            pass
         for s in tower_list:
             for t in tower_list:
                 differ = [d for d, (a, b) in enumerate(zip(padded(s), padded(t)), 1) if a != b]
@@ -875,7 +901,7 @@ def linear_algebra_length(product):
 
     basis = [{(a, b): Fraction(1)} for a in range(n) for b in range(n - a)]
     for tower in product.towers:
-        curve = {(1, 0): Fraction(1), **{(0, d): c for d, c in enumerate(tower.tangent, 1)}}
+        curve = {(1, 0): Fraction(1), **{(0, d): c for d, c in tower.tangent}}
         for k in tower.exponents:
             gens = [curve, {(0, k): Fraction(1)}]
             if tower.branch == "y":
