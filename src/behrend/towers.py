@@ -12,27 +12,27 @@ Behrend number, and reads the length off the same tree (Hoskin-Deligne).
 
 Construction.  Two towers share the curve at level r >= 2 when both reach
 height r, lie on one branch and have tangents agreeing in every degree
-below r; at level 1 every tower shares the root.  Sorting the towers once by
-branch and then lexicographically by tangent (missing degrees read as 0)
-puts every class at every level in one contiguous run, and the
-agreement_depth of any two towers is the minimum of the adjacent depths
-between them: the property LCP arrays rest on (Kasai et al., CPM 2001).
-A class at level r is therefore a maximal run of towers of height >= r
-whose adjacent depths, minimized over any shorter towers between them, are
-at least r.  The runs change only on the level after a tower ends or an
-adjacent depth runs out; between those event levels each class adds one
-chain node.
+below r; at level 1 every tower shares the root.  A product stores its
+towers, and numbers them, by branch and then lexicographically by tangent
+(missing degrees read as 0).  That order puts every class at every level in
+one contiguous run, and the agreement_depth of any two towers is the
+minimum of the adjacent depths between them: the property LCP arrays rest
+on (Kasai et al., CPM 2001).  A class at level r is therefore a maximal run
+of towers of height >= r whose adjacent depths, minimized over any shorter
+towers between them, are at least r.  The runs change only on the level
+after a tower ends or an adjacent depth runs out; between those event
+levels each class adds one chain node.
 
-Cost.  One pass per tangent for its sort key and O(T log T) key
-comparisons, O(T) at each of at most 2T - 1 event levels, and list slicing
-and repetition over the parallel chains between them; Python-level loops
-run once per factor, to place it, and once per node in each of three
-passes: the weights, the multiplicities and the contraction check.  The
-diagram keeps the columns those passes fill, one per node field, and builds
-no record per node: nu and length read the columns, and the node records
-are built only when DynkinDiagram.nodes is read.  On a 2-core host the
-150,000-node chain's noncomplete_product_nu takes about 0.09 s in-process,
-and its whole `nu` process about 0.22 s.
+Cost.  The product sorts once: a key pass per tangent and O(T log T)
+comparisons.  The diagram takes O(T) at each of at most 2T - 1 event
+levels, and list slicing and repetition over the parallel chains between
+them; Python-level loops run once per factor, to place it, and once per
+node in each of three passes: the weights, the multiplicities and the
+contraction check.  The diagram keeps the columns those passes fill, one
+per node field, and builds no record per node: nu and length read the
+columns, and the node records are built only when DynkinDiagram.nodes is
+read.  On a 2-core host the 150,000-node chain's noncomplete_product_nu
+takes about 0.09 s in-process, and its whole `nu` process about 0.22 s.
 
 The contribution of a factor whose own node is c_I to a node c is the level
 of the deepest common ancestor of c and c_I (a node counts as its own
@@ -184,13 +184,14 @@ class _Towers(NamedTuple):
 
 
 class TowerProduct(_Towers):
-    """A finite product of pairwise tangent-distinct towers, canonically
-    sorted, so two products are equal exactly when their towers are."""
+    """A finite product of pairwise tangent-distinct towers, sorted by
+    _padded_key, the order that numbers the diagram, so two products are
+    equal exactly when their towers are."""
 
     __slots__ = ()
 
     def __new__(cls, towers):
-        towers = tuple(sorted(towers, key=_stored_key))  # by branch, dense tangent
+        towers = tuple(sorted(towers, key=_padded_key))
         if not towers:
             raise DomainError("a tower product needs at least one tower")
         if any(s[:2] == t[:2] for s, t in zip(towers, towers[1:])):  # same branch and tangent
@@ -222,7 +223,7 @@ class TowerProduct(_Towers):
         whose exponents are their multiset: a repeated exponent is a
         repeated factor, as in a power.  Exponent-1 factors all cut out m,
         whatever their branch and tangent; the j-th goes to slot j mod the
-        slot count, the slots being the groups in stored order, then new
+        slot count, the slots being the groups by _padded_key, then new
         monomial towers on x and on y.  tower_from_terms builds every group,
         so a Tower not built by it is canonicalized or refused as it would.
         """
@@ -243,7 +244,7 @@ class TowerProduct(_Towers):
         if not groups and not floating:
             raise DomainError("a tower product needs at least one factor")
         if floating:
-            slots = sorted(groups, key=_stored_key)
+            slots = sorted(groups, key=_padded_key)
             slots += [key for key in (("x", ()), ("y", ())) if key not in groups]
             for j, key in enumerate(slots[:floating]):
                 groups.setdefault(key, []).extend([1] * len(range(j, floating, len(slots))))
@@ -268,38 +269,24 @@ class TowerProduct(_Towers):
         return result
 
 
-def _padded_key(tower, end=(1,)) -> tuple:
-    """A key ordering towers, or (branch, tangent) pairs, by branch and then
-    by zero-padded tangent, read off the terms: a term c of degree d reads
-    (0, d, c) if c < 0 and (2, -d, c) if c > 0, and the end, zeros from
-    there on, reads (1,); so where one tangent has c and the other 0, c < 0
-    sorts first and c > 0 last, as on the padded tangents."""
+def _padded_key(tower) -> tuple:
+    """The tower order: by branch and then by zero-padded tangent, read off
+    the terms of a tower or a (branch, tangent) pair; a term c of degree d
+    reads (0, d, c) if c < 0 and (2, -d, c) if c > 0, and the end, zeros
+    from there on, reads (1,); so where one tangent has c and the other 0,
+    c < 0 sorts first and c > 0 last, as on the padded tangents."""
     terms = [(0, d, c) if c.numerator < 0 else (2, -d, c) for d, c in tower[1]]
-    return (tower[0], *terms, end)
+    return (tower[0], *terms, (1,))
 
 
-def _stored_key(tower) -> tuple:
-    """The order TowerProduct stores: by branch and then by dense tangent,
-    which sorts before every longer tangent it is a prefix of, so its end
-    reads (-1,), below every term; see _padded_key."""
-    return _padded_key(tower, (-1,))
-
-
-def _agreement_order(towers) -> tuple[list[int], list[int]]:
-    """Tower indices sorted by _padded_key, and the agreement_depth of each
-    adjacent pair.  Tangents on one branch are distinct, so no two keys tie."""
-    order = sorted(range(len(towers)), key=list(map(_padded_key, towers)).__getitem__)
-    return order, [agreement_depth(towers[i], towers[j]) for i, j in zip(order, order[1:])]
-
-
-def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:
-    """Classes at level r, in sorted order, members ascending: maximal runs of
+def _classes_at(r: int, depths, heights) -> list[tuple[int, ...]]:
+    """Classes at level r, in tower order, members ascending: maximal runs of
     towers of height >= r whose adjacent depths, minimized over the shorter
     towers skipped between them, are at least r."""
     runs: list[list[int]] = []
     gap = 0  # least depth since the last tower of height >= r
-    for i, depth in zip(order, [*depths, 0]):
-        if heights[i] >= r:
+    for i, (height, depth) in enumerate(zip(heights, [*depths, 0])):
+        if height >= r:
             if gap >= r:
                 runs[-1].append(i)
             else:
@@ -307,7 +294,7 @@ def _classes_at(r: int, order, depths, heights) -> list[tuple[int, ...]]:
             gap = depth
         elif depth < gap:
             gap = depth
-    return [tuple(sorted(run)) for run in runs]
+    return list(map(tuple, runs))
 
 
 class DynkinNode(NamedTuple):
@@ -369,13 +356,13 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
 
     Every tower is read as its completion (all levels 1..height, same
     tangent): the node at level r of a class of towers exists whether or not
-    a member has exponent r.  Nodes are numbered level by level; within a
-    level, classes follow the sorted tower order, which on each branch is the
-    order of the zero-padded tangent prefixes of degree < r, because a class
-    is a contiguous run of that order and comparing two towers of different
-    classes decides at a degree below r.  A node's members ascend, its
-    parent is the node one level down holding its members, and a factor
-    (tower i, exponent k) attaches to the level-k node holding i.
+    a member has exponent r.  Nodes are numbered level by level, and within
+    a level in the product's tower order, so their first members ascend: on
+    each branch the order of the zero-padded tangent prefixes of degree < r,
+    since a class is a contiguous run of it and two towers of different
+    classes differ below degree r.  A node's members ascend, its parent is
+    the node one level down holding its members, and a factor (tower i,
+    exponent k) attaches to the level-k node holding i.
 
     Nodes are built a segment at a time: between two event levels the same
     w classes each add a chain node per level, so past its first level each
@@ -393,10 +380,11 @@ def build_dynkin(product: TowerProduct) -> DynkinDiagram:
     towers = product.towers
     heights = [t.height for t in towers]
     top = max(heights)
-    order, depths = _agreement_order(towers)
+    # no two stored towers share branch and tangent, so no depth is None
+    depths = list(map(agreement_depth, towers, towers[1:]))
     # the runs change only on the level after a height or an adjacent depth
     starts = sorted({1} | {e + 1 for e in (*heights, *depths) if e < top})
-    segments = [(r, end, _classes_at(r, order, depths, heights))
+    segments = [(r, end, _classes_at(r, depths, heights))
                 for r, end in zip(starts, [*starts[1:], top + 1])]
     count = sum(len(runs) * (end - r) for r, end, runs in segments)
     if count > DIAGRAM_CAP:
@@ -464,7 +452,7 @@ def _check_contraction_degrees(
         parent = parents[child]
         degrees[parent] += multiplicity[child]
         degrees[child] += multiplicity[parent]
-    if max(degrees) <= 0 and list(map(lt, degrees, repeat(0))) == surviving:
+    if max(degrees) <= 0 and tuple(map(lt, degrees, repeat(0))) == tuple(surviving):
         return
     node = next(node for node, degree in enumerate(degrees)
                 if degree > 0 or (degree < 0) != surviving[node])

@@ -48,7 +48,7 @@ GOLDEN_DOT = (
     '  rankdir=BT;\n'
     '  node [shape=circle];\n'
     '  n0 [label="m\\nself-int -3, mult 6, kept"];\n'
-    '  n1 [label="(x + y) + m^2, (x + y - 1/2*y^2) + m^2\\nself-int -3, mult 10, kept"];\n'
+    '  n1 [label="(x + y - 1/2*y^2) + m^2, (x + y) + m^2\\nself-int -3, mult 10, kept"];\n'
     '  n2 [label="level 2\\nself-int -2, mult 7, contracted", style=dashed];\n'
     '  n3 [label="level 3\\nself-int -2, mult 11, contracted", style=dashed];\n'
     '  n4 [label="(x + y) + m^3\\nself-int -1, mult 11, kept"];\n'
@@ -78,7 +78,7 @@ GOLDEN_SVG = (
     '<text x="166" y="316" font-size="11">m</text>\n'
     '<text x="166" y="330" font-size="11">-3, mult 6</text>\n'
     '<circle cx="150" cy="240" r="12" fill="#cfe2ff" stroke="black"/>\n'
-    '<text x="166" y="236" font-size="11">(x + y) + m^2, (x + y - 1/2*y^2) + m^2</text>\n'
+    '<text x="166" y="236" font-size="11">(x + y - 1/2*y^2) + m^2, (x + y) + m^2</text>\n'
     '<text x="166" y="250" font-size="11">-3, mult 10</text>\n'
     '<circle cx="300" cy="240" r="12" fill="white" stroke="black" stroke-dasharray="4 2"/>\n'
     '<text x="316" y="236" font-size="11">level 2</text>\n'
@@ -200,7 +200,7 @@ class TestCommands:
         # the whole stdout: the envelope, str() of each value and the counts
         code, out, _ = run(capsys, "verify", "--format", "json", "--seed", "0")
         assert code == 0
-        digest = "f17f0d781234a400a89a11a22adc4c129280eabdeebd5221416e3b706e2996f5"
+        digest = "961a844114c00758f79f1adb2bd5fda3b35a91a982f52d2762e3299067a5a94f"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bounds_choices_are_the_verify_presets(self):

@@ -96,6 +96,15 @@ def equivalence_classes(product, r):
     return classes, excess
 
 
+def first_members_ascend(diagram):
+    """Whether the nodes at each level come in the order of their first
+    members, that is, whether node order and tower indices agree."""
+    firsts = {}
+    for level, members in zip(diagram.levels, diagram.members):
+        firsts.setdefault(level, []).append(members[0])
+    return all(f == sorted(f) for f in firsts.values())
+
+
 def reference_dynkin(product):
     """The former per-level engine, kept as a reference: at every level it
     groups the completed towers by branch and zero-padded tangent prefix and
@@ -458,7 +467,7 @@ class TestTowerProduct:
              [("x", G, (1, 2, 3)), ("x", ((1, 2),), (2,))]),
             ("tower(x; g=-y; exps=[1, 3]) * tower(x; g=y; exps=[1, 2])"
              " * tower(x; g=0; exps=[2])",
-             [("x", (), (1, 2)), ("x", ((1, -1),), (1, 3)), ("x", G, (2,))]),
+             [("x", ((1, -1),), (1, 3)), ("x", (), (1, 2)), ("x", G, (2,))]),
             ("tower(x; g=y; exps=[1, 2]) * m", [("x", (), (1,)), ("x", G, (1, 2))]),
             ("tower(x; g=y; exps=[2, 3]) * m", [("x", G, (1, 2, 3))]),
             ("tower(x; g=y; exps=[2, 3]) * m^2", [("x", (), (1,)), ("x", G, (1, 2, 3))]),
@@ -612,16 +621,36 @@ class TestReferenceEngine:
             with pytest.raises(UnsupportedError, match=f"has {count} nodes, above the diagram cap"):
                 build_dynkin(product)
 
-    def test_padded_order_differs_from_stored_order(self):
-        # the product sorts (1,) before (1, 0, -1); the zero-padded prefixes
-        # put (1, 0, -1) first at level 4
+    def test_stored_order_is_the_padded_order(self):
+        # (1, 0, -1) sorts before (1,), whose padded form is (1, 0, 0), so the
+        # product stores it first and its class comes first at level 4
         product = TowerProduct([complete("x", 5, (1,)), complete("x", 5, (1, 0, -1))])
-        assert [t.tangent for t in product.towers] == [((1, 1),), ((1, 1), (3, -1))]
+        assert [t.tangent for t in product.towers] == [((1, 1), (3, -1)), ((1, 1),)]
         classes, _ = equivalence_classes(product, 4)
-        assert classes == [(1,), (0,)]
+        assert classes == [(0,), (1,)]
         assert [n[:2] for n in reference_dynkin(product)] == [
             (n.level, n.members) for n in build_dynkin(product).nodes
         ]
+
+    def test_node_order_follows_the_tower_indices(self):
+        # the towers g = y and g = y - y^2 split at level 3; y - y^2 is stored
+        # first, so its node comes first
+        product = TowerProduct([make_tower("x", (1,), [3]), make_tower("x", (1, -1), [3])])
+        assert build_dynkin(product).members == ((0, 1), (0, 1), (0,), (1,))
+        for product in reference_products():
+            assert first_members_ascend(build_dynkin(product))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("xy"), st.lists(st.integers(-2, 2), max_size=5),
+                              st.integers(1, 3)), min_size=1, max_size=6))
+    def test_node_order_follows_the_tower_indices_on_drawn_towers(self, drawn):
+        tower_list = list({t[:2]: t for t in (make_tower(b, g, [len(g) + extra])
+                                              for b, g, extra in drawn)}.values())
+        try:
+            product = TowerProduct(tower_list)
+        except UnsupportedError:  # aligned cross-branch directions are refused
+            assume(False)
+        assert first_members_ascend(build_dynkin(product))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from("xy"),
@@ -637,15 +666,9 @@ class TestReferenceEngine:
             coeffs = dict(t.tangent)
             return tuple(coeffs.get(d, 0) for d in range(1, width + 1))
 
-        def dense(t):  # the padded tangent less its trailing zeros
-            return padded(t)[:max((d for d, _ in t.tangent), default=0)]
-
-        indices = range(len(tower_list))
-        assert sorted(indices, key=lambda i: towers._padded_key(tower_list[i])) == sorted(
-            indices, key=lambda i: (tower_list[i].branch, padded(tower_list[i])))
-        # a product stores its towers by branch, dense tangent and exponents
-        stored = sorted(tower_list, key=lambda t: (t.branch, dense(t), t.exponents))
-        assert sorted(tower_list, key=towers._stored_key) == stored
+        # a product stores its towers by branch and padded tangent
+        stored = sorted(tower_list, key=lambda t: (t.branch, padded(t)))
+        assert sorted(tower_list, key=towers._padded_key) == stored
         try:
             assert TowerProduct(tower_list).towers == tuple(stored)
         except UnsupportedError:  # aligned cross-branch directions are refused
@@ -1066,6 +1089,28 @@ class TestDivisorDegreeChecks:
             towers._check_contraction_degrees(
                 diagram.parents, levels, self_intersection, multiplicity, surviving
             )
+
+    def test_a_valid_diagram_passes_as_tuples_or_lists(self):
+        # a diagram holds its columns as tuples, build_dynkin passes lists
+        for product in [TowerProduct([make_tower("x", (1,), [1, 2, 3])]),
+                        *reference_products()[:40]]:
+            diagram = build_dynkin(product)
+            columns = (diagram.parents, diagram.levels, diagram.self_intersection,
+                       diagram.multiplicity, diagram.surviving)
+            assert towers._check_contraction_degrees(*columns) is None
+            assert towers._check_contraction_degrees(*map(list, columns)) is None
+
+    def test_a_wrong_tuple_multiplicity_names_its_curve(self):
+        # raising the root's multiplicity by 1 lifts the level-2 curve's
+        # divisor degree to 0, a survivor's
+        diagram = build_dynkin(TowerProduct([make_tower("x", (1,), [1, 2, 3])]))
+        multiplicity = (diagram.multiplicity[0] + 1, *diagram.multiplicity[1:])
+        with pytest.raises(AssertionError, match=(
+            r"divisor degree 0 on the level-2 curve contradicts multiplicity 5 / survival True"
+        )):
+            towers._check_contraction_degrees(diagram.parents, diagram.levels,
+                                              diagram.self_intersection, multiplicity,
+                                              diagram.surviving)
 
 
 @st.composite

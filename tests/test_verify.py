@@ -398,10 +398,10 @@ DEFAULT_DIGESTS = {
         99: "43374f84800702caabfdc5c11a4bba530003ce9812021f709906cbd3e398ece5",
     },
     "length/hoskin-deligne": {
-        0: "4143972e1177c18706fd664e3e5297226bbe6d25ef6629a47a8b1b45178cab2a",
-        1: "4add6822eb341a9670670419b4e0ff11c6ff200a4bb87cdbda5ceef977201654",
-        2: "aff2989832122b3a4948eb84bab8d751d2a71ae685c6b1be17cb3685b1e52769",
-        99: "9d993b832724c00ce8f64d5b70805daee0fc189d80b7ba45a6503c5563256c09",
+        0: "41690d8960cdef92ba040f3291219c9e4ab93339e1a1a6c55bef128070b0ec56",
+        1: "ff48f6989958f3dbbb07e0185f3686d337dea6612253907c2ae4a654e276f65e",
+        2: "1dcb7bece8b236b3d1f3f28f41423a063c779cac1b96ff674c6b97ed1dc0b7be",
+        99: "3f6663c523689a9519b6cf79c78d976d1e38c912a603d82ee0c748f2d9e7fa08",
     },
     "length/m-power": {
         0: "987737b40fa2e93fb9bc7a8eb40fd736c45c90193d8fc988b5f605fc431cddf0",
@@ -422,16 +422,16 @@ DEFAULT_DIGESTS = {
         99: "e3a8de1cd7912caaee48e8d48d3fa38105b338820aad4fce116fe8e1de21f9e0",
     },
     "nu/contraction-degrees": {
-        0: "5ca488f14d6d46705571b3cc45a9372ceca1f3cd9c2967ec1713bf8c5fec2e30",
-        1: "447f5efc2e9629123787f39b83b1936ccf294e62c36439692c5d59d7fb7b5a8e",
-        2: "2f9d0f2d036994ed16e4b612e1a5c767a05a698d90c94b368b51d8a05bbbd70e",
-        99: "e7d5828edb9c033092c7aa68249f367f48de61bc04fb543ceddc6276ae7c5b0b",
+        0: "82f511c89bff4bf53ae172927e03cb0bca78ccaf9753467122e7550997cd70fd",
+        1: "772a3db27f5ae41717859673e93860da243665257c8ab736f87895418f91dae3",
+        2: "41c1c50305327590707e5865aed79886e1c1f5cd42db7b5e5672b8695beed16c",
+        99: "aa270f1b37b0ada83aec8321a45e569b3fe8aaf738e18302da5740342d280acf",
     },
     "nu/diagram-consistency": {
-        0: "569f0465947971285b574d2617a5f2987d3cfae7c6d4f8b622ee4b885fd73efb",
-        1: "d48ee73367665db0568c93fecdc5a6a56a7a2649ca4ceb0dc7ebd070aced2e09",
-        2: "8efa2c857e365158d1afe1927b68f816546a34ba0f30eb5280e19fd44e7810b8",
-        99: "1c14cc80e180debe832b37b4688057eb7f103cdfa59010b879567f6193df8d09",
+        0: "9d0dc3768c24c1b826c91c318157492cb48bbb075936b48d5c15f03f42a66503",
+        1: "f38c8cc3ee2de8e7b6084fc200d1cad49457c64252ecb6d17b1f02de63874dfa",
+        2: "df25e8713b43f6c473e1a7b28cf8f7e347cff2b0f1a53d45c42e106d6c20ad9a",
+        99: "f827e4209678b01b946ee87a88d9f161ce3f5341d02e60077b47be694ef7db55",
     },
     "nu/dual-engine": {
         0: "004d8ac72310020ee77e73d211a284840a0780ad8da9b10eba26fc5cd24b2a0f",
